@@ -188,13 +188,24 @@ def metis_partition(
 def _symmetrized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     """Undirected weighted adjacency: weight = #directed edges between the pair."""
     n = graph.num_nodes
-    dst = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    data = np.ones(graph.num_edges, dtype=np.float64)
-    a = sp.coo_matrix((data, (dst, graph.indices)), shape=(n, n)).tocsr()
-    a = a + a.T
-    a.setdiag(0)
-    a.eliminate_zeros()
-    return a.tocsr()
+    # scipy indexes with int32 whenever the shape allows; building the
+    # COO in that dtype saves it an int64 copy of every index
+    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    dst = np.repeat(np.arange(n, dtype=idx), graph.degrees)
+    src = graph.indices.astype(idx)
+    keep = dst != src  # self-loops carry no cut weight
+    dst, src = dst[keep], src[keep]
+    # both directions in one COO; tocsr() sums the duplicates, so each
+    # pair's weight counts its edges either way — the entries of
+    # A + A.T with the diagonal dropped
+    rows = np.concatenate([dst, src])
+    cols = np.concatenate([src, dst])
+    del dst, src, keep
+    data = np.ones(len(rows), dtype=np.float64)
+    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
+    # summing duplicates leaves views into the pre-sum buffers; the
+    # copy frees them before coarsening, which holds every level
+    return a.copy()
 
 
 def _heavy_edge_matching(

@@ -8,7 +8,10 @@ segment reduction — the same structure the CUDA kernels use.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import scipy.sparse as sp
 
 from repro.nn.tensor import Tensor
 from repro.utils.errors import ReproError
@@ -62,14 +65,39 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     return Tensor._make(out, tuple(tensors), backward)
 
 
+def _scatter_add_rows(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """``out[idx[i]] += x[i]`` into ``num_rows`` zero float32 rows.
+
+    Computed as one CSR product ``S @ x`` with ``S[r, i] = 1`` wherever
+    ``idx[i] == r``.  scipy's csr x dense kernel sums each output row
+    from 0.0 in column order, and a stable sort of ``idx`` keeps every
+    row's columns in ascending ``i`` — exactly ``np.add.at``'s
+    sequential order, so the result is bit-identical to it without its
+    per-index overhead.  (``np.add.reduceat`` is not sequential along
+    axis 0 and does not match.)
+    """
+    x = np.asarray(x, dtype=np.float32)
+    n = len(idx)
+    if n and (idx.min() < 0 or idx.max() >= num_rows):
+        raise ReproError(f"segment id out of range [0, {num_rows})")
+    if n > 1 and np.any(idx[1:] < idx[:-1]):
+        order = np.argsort(idx, kind="stable")
+    else:
+        order = np.arange(n)
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
+    s = sp.csr_matrix((np.ones(n, dtype=np.float32), order, indptr),
+                      shape=(num_rows, n))
+    out = s @ x.reshape(n, math.prod(x.shape[1:]))
+    return out.reshape((num_rows,) + x.shape[1:])
+
+
 def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     """Row gather ``x[idx]``; backward scatters with accumulation."""
     idx = np.asarray(idx, dtype=np.int64)
 
     def backward(g):
-        grad = np.zeros_like(x.data)
-        np.add.at(grad, idx, g)
-        x._accumulate(grad)
+        x._accumulate(_scatter_add_rows(g, idx, x.shape[0]))
 
     return Tensor._make(x.data[idx], (x,), backward)
 
@@ -79,8 +107,7 @@ def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     seg = np.asarray(seg, dtype=np.int64)
     if len(seg) != x.shape[0]:
         raise ReproError("need one segment id per row")
-    out = np.zeros((num_segments,) + x.shape[1:], dtype=np.float32)
-    np.add.at(out, seg, x.data)
+    out = _scatter_add_rows(x.data, seg, num_segments)
 
     def backward(g):
         x._accumulate(g[seg])
@@ -93,10 +120,9 @@ def segment_mean(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     seg = np.asarray(seg, dtype=np.int64)
     if len(seg) != x.shape[0]:
         raise ReproError("need one segment id per row")
+    out = _scatter_add_rows(x.data, seg, num_segments)
     counts = np.bincount(seg, minlength=num_segments).astype(np.float32)
     denom = np.maximum(counts, 1.0).reshape((num_segments,) + (1,) * (x.ndim - 1))
-    out = np.zeros((num_segments,) + x.shape[1:], dtype=np.float32)
-    np.add.at(out, seg, x.data)
     out /= denom
 
     def backward(g):

@@ -28,16 +28,6 @@ from repro.utils.errors import ReproError
 from repro.utils.rng import make_rng, spawn_rngs
 
 
-def _block_indices(block: Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(dst row idx, edge src row idx, edge dst segment) w.r.t. all_nodes."""
-    nodes = block.all_nodes
-    dst_idx = np.searchsorted(nodes, block.dst_nodes)
-    src_idx = np.searchsorted(nodes, block.src_nodes)
-    seg = np.repeat(np.arange(block.num_dst, dtype=np.int64),
-                    np.diff(block.offsets))
-    return dst_idx, src_idx, seg
-
-
 class SAGEConv(Module):
     """GraphSAGE: ``W [h_v || AGG(h_u)]`` with a mean or max-pool
     aggregator [Hamilton et al. 2017]."""
@@ -56,7 +46,7 @@ class SAGEConv(Module):
         )
 
     def __call__(self, block: Block, h: Tensor) -> Tensor:
-        dst_idx, src_idx, seg = _block_indices(block)
+        dst_idx, src_idx, seg = block.local_index
         h_dst = F.gather_rows(h, dst_idx)
         h_src = F.gather_rows(h, src_idx)
         if self.aggregator == "pool":
@@ -82,7 +72,7 @@ class GCNConv(Module):
         self.fc = Linear(in_dim, out_dim, rng=make_rng(rng))
 
     def __call__(self, block: Block, h: Tensor) -> Tensor:
-        dst_idx, src_idx, seg = _block_indices(block)
+        dst_idx, src_idx, seg = block.local_index
         # append one self edge per dst: mean over N(v) union {v}
         all_idx = np.concatenate([src_idx, dst_idx])
         all_seg = np.concatenate([seg, np.arange(block.num_dst)])
@@ -116,8 +106,7 @@ class GATConv(Module):
         ]
 
     def __call__(self, block: Block, h: Tensor) -> Tensor:
-        idx = _block_indices(block)
-        outs = [head(block, h, idx) for head in self.heads]
+        outs = [head(block, h) for head in self.heads]
         return outs[0] if len(outs) == 1 else F.concat(outs)
 
     @property
@@ -136,8 +125,8 @@ class _GATHead(Module):
         self.attn_src = Parameter(rng.uniform(-bound, bound, size=(out_dim, 1)))
         self.attn_dst = Parameter(rng.uniform(-bound, bound, size=(out_dim, 1)))
 
-    def __call__(self, block: Block, h: Tensor, idx=None) -> Tensor:
-        dst_idx, src_idx, seg = idx if idx is not None else _block_indices(block)
+    def __call__(self, block: Block, h: Tensor) -> Tensor:
+        dst_idx, src_idx, seg = block.local_index
         z = self.fc(h)
         z_src = F.gather_rows(z, src_idx)
         z_dst = F.gather_rows(z, dst_idx)

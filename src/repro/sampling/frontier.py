@@ -54,6 +54,21 @@ class Block:
         """Unique global ids appearing anywhere in the block."""
         return np.unique(np.concatenate([self.dst_nodes, self.src_nodes]))
 
+    @cached_property
+    def local_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(dst row, edge src row, edge dst segment) w.r.t. ``all_nodes``.
+
+        The block in the row numbering a GNN layer aggregates over,
+        computed once per block: one lookup table from global id to
+        ``all_nodes`` row replaces a binary search per edge.
+        """
+        nodes = self.all_nodes
+        lut = np.empty(int(nodes[-1]) + 1 if len(nodes) else 0, dtype=np.int64)
+        lut[nodes] = np.arange(len(nodes), dtype=np.int64)
+        seg = np.repeat(np.arange(self.num_dst, dtype=np.int64),
+                        np.diff(self.offsets))
+        return lut[self.dst_nodes], lut[self.src_nodes], seg
+
     @property
     def nbytes(self) -> int:
         """Wire size of the block structure (ids + offsets)."""

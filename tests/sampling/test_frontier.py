@@ -40,6 +40,25 @@ class TestBlock:
         b = block([], [], [])
         assert b.num_dst == 0 and b.num_edges == 0
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_local_index_matches_binary_search(self, seed):
+        rng = np.random.default_rng(seed)
+        dst = np.sort(rng.choice(5000, size=40, replace=False))
+        counts = rng.integers(0, 6, size=len(dst))
+        src = rng.integers(0, 5000, size=counts.sum())
+        b = block(dst, src, counts)
+        dst_idx, src_idx, seg = b.local_index
+        assert np.array_equal(dst_idx, np.searchsorted(b.all_nodes, dst))
+        assert np.array_equal(src_idx, np.searchsorted(b.all_nodes, src))
+        assert np.array_equal(seg, np.repeat(np.arange(len(dst)), counts))
+        assert all(a.dtype == np.int64 for a in b.local_index)
+        assert b.local_index is b.local_index  # computed once per block
+
+    def test_local_index_empty_block(self):
+        empty = np.zeros(0, dtype=np.int64)
+        b = Block(empty, empty, np.zeros(1, dtype=np.int64))
+        assert all(len(a) == 0 for a in b.local_index)
+
 
 class TestMiniBatchSample:
     def test_all_nodes_union(self):
