@@ -18,8 +18,8 @@ replica's GPU batchers.  This walkthrough sweeps the offered load for
 """
 
 from repro import RunConfig, build_system
-from repro.cluster import RouterConfig, knee_vs_replicas, serve_replicated
-from repro.serve import ServeConfig, WorkloadConfig, make_workload
+from repro.cluster import RouterConfig, knee_vs_replicas
+from repro.serve import ServeConfig, WorkloadConfig, make_workload, serve_once
 
 REPLICAS = (1, 2, 4)
 LADDER = [2000e3, 3200e3, 5000e3, 8000e3, 12800e3, 20000e3,
@@ -44,9 +44,8 @@ def main() -> None:
 
     # one replica at rush-hour load: the knee in action
     qps = LADDER[3]
-    report = serve_replicated(system, workload, qps,
-                              RouterConfig(num_replicas=1),
-                              config=serve_cfg)
+    report = serve_once(system, workload, qps, serve_cfg,
+                        replicas=RouterConfig(num_replicas=1))
     verdict = "over the knee" if report.shed_rate > 0.01 else "sustained"
     print(f"one replica at {qps / 1e6:.1f}M QPS: "
           f"p99 {report.p99 * 1e3:.2f} ms, shed {report.shed_rate:.1%} "

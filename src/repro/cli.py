@@ -25,6 +25,7 @@ from repro.core import RunConfig, SYSTEMS, build_system
 from repro.core.metrics import metrics_dict as _metrics_dict, scrub_nan
 from repro.graph import DATASET_SPECS
 from repro.utils import fmt_bytes, fmt_time
+from repro.utils.errors import ConfigError
 
 
 def _fail(message: str) -> int:
@@ -222,7 +223,12 @@ def cmd_serve(args) -> int:
     )
 
     cfg = _config(args)
-    qps_values = [float(q) for q in args.qps.split(",")]
+    try:
+        qps_values = [float(q) for q in args.qps.split(",")]
+    except ValueError:
+        raise ConfigError(
+            f"--qps expects comma-separated numbers, got {args.qps!r}"
+        ) from None
     tenancy = None
     if args.tenants > 0:
         from repro.control import TenancyConfig
@@ -255,15 +261,26 @@ def cmd_serve(args) -> int:
         seed=args.seed,
     )
     systems = [s for s in args.systems.split(",") if s]
-    if args.num_replicas > 1 and args.trace_base:
-        return _fail("--trace-base is ambiguous with --num-replicas > 1; "
-                     "trace a single replica instead")
-    if args.scale_max > 1 and args.num_replicas > 1:
+    if args.scale_max > 1 and args.num_replicas != 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
-    if args.scale_max > 1 and args.trace_base:
-        return _fail("--trace-base is ambiguous under autoscaling; "
-                     "trace a single replica instead")
+    replicas = None
+    if args.scale_max > 1:
+        from repro.control import AutoscaleConfig
+
+        replicas = AutoscaleConfig(
+            min_replicas=args.scale_min,
+            max_replicas=args.scale_max,
+            target_qps_per_replica=args.target_qps_per_replica,
+        )
+    elif args.num_replicas != 1:
+        from repro.cluster import RouterConfig
+
+        replicas = RouterConfig(num_replicas=args.num_replicas,
+                                policy=args.routing, seed=args.seed)
+    if replicas is not None and args.trace_base:
+        return _fail("--trace-base is ambiguous with replicated or "
+                     "autoscaled serving; trace a single replica instead")
     workload = None
     payload: dict = {
         "slo_ms": args.slo_ms,
@@ -286,14 +303,12 @@ def cmd_serve(args) -> int:
             )
         warm_nodes = None
         if args.cache_warmup > 0:
-            dyn = getattr(getattr(system, "loader", None), "dynamic", None)
-            if dyn is not None:
-                hist = workload.nodes[: args.cache_warmup]
-                numbering = getattr(system, "numbering", None)
-                if numbering is not None:
-                    hist = numbering.old_to_new[hist]
-                promoted = dyn.warm(hist)
-                dyn._warm_applied = True  # sweep workers re-warm theirs
+            hist = workload.nodes[: args.cache_warmup]
+            numbering = getattr(system, "numbering", None)
+            if numbering is not None:
+                hist = numbering.old_to_new[hist]
+            promoted = system.warm_cache(hist)
+            if promoted is not None:
                 warm_nodes = hist
                 print(f"{name}: warmed dynamic cache from "
                       f"{len(hist)} requests ({promoted} rows promoted)")
@@ -306,36 +321,12 @@ def cmd_serve(args) -> int:
             args.metrics_window_ms * 1e-3
             if args.metrics_window_ms is not None else None
         )
-        if args.scale_max > 1:
-            from repro.control import AutoscaleConfig, autoscaled_qps_sweep
-
-            points = autoscaled_qps_sweep(
-                system, workload, qps_values,
-                scale=AutoscaleConfig(
-                    min_replicas=args.scale_min,
-                    max_replicas=args.scale_max,
-                    target_qps_per_replica=args.target_qps_per_replica,
-                ),
-                config=serve_cfg, workers=args.workers,
-                metrics=args.metrics, metrics_window_s=metrics_window_s,
-            )
-        elif args.num_replicas > 1:
-            from repro.cluster import RouterConfig, replicated_qps_sweep
-
-            points = replicated_qps_sweep(
-                system, workload, qps_values,
-                router=RouterConfig(num_replicas=args.num_replicas,
-                                    policy=args.routing, seed=args.seed),
-                config=serve_cfg, workers=args.workers,
-                metrics=args.metrics, metrics_window_s=metrics_window_s,
-            )
-        else:
-            points = qps_sweep(
-                system, workload, qps_values, serve_cfg,
-                workers=args.workers, trace_base=trace_base,
-                metrics=args.metrics, metrics_window_s=metrics_window_s,
-                warm_nodes=warm_nodes,
-            )
+        points = qps_sweep(
+            system, workload, qps_values, serve_cfg,
+            workers=args.workers, trace_base=trace_base,
+            metrics=args.metrics, metrics_window_s=metrics_window_s,
+            warm_nodes=warm_nodes, replicas=replicas,
+        )
         for p in points:
             r = p.report
             line = (f"{name:<10} {p.qps:>10.0f} {fmt_time(r.p50):>10} "
@@ -344,8 +335,8 @@ def cmd_serve(args) -> int:
             if args.metrics and r.metrics is not None:
                 line += f" {r.metrics['slo']['slo_minutes_violated']:>8.4f}"
             if act_col:
-                actions, replicas = _control_figures(r.control)
-                line += f" {actions:>7} {replicas:>4}"
+                actions, n_replicas = _control_figures(r.control)
+                line += f" {actions:>7} {n_replicas:>4}"
             print(line)
         knees[name] = max_sustainable_qps(points)
         payload["systems"][name] = {
@@ -591,7 +582,6 @@ def cmd_report(args) -> int:
     Chrome trace) exit with a one-line error and status 1.
     """
     from repro.metrics import write_report
-    from repro.utils.errors import ConfigError
 
     def load(path):
         with open(path) as f:
@@ -651,8 +641,6 @@ def cmd_report(args) -> int:
         return _fail(f"{err.filename}: no such file")
     except json.JSONDecodeError as err:
         return _fail(f"corrupt JSON input: {err}")
-    except ConfigError as err:
-        return _fail(str(err))
     try:
         write_report(
             args.out,
@@ -933,7 +921,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as err:
+        return _fail(str(err))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,7 +15,8 @@ a cluster along the two production axes the ROADMAP names:
   deterministic :class:`~repro.cluster.router.ClusterRouter`
   (random / least-loaded / partition-affinity policies) whose merged
   reports flow through the ordinary SLO tooling
-  (:mod:`repro.cluster.serve`).
+  (``serve_once(..., replicas=RouterConfig(...))``,
+  :mod:`repro.cluster.serve`).
 
 Both axes preserve the repo-wide contracts: a 1-node cluster is
 bit-identical to the single-server system, and every cluster run is
@@ -29,12 +30,7 @@ from repro.cluster.partition import (
     hierarchical_partition,
 )
 from repro.cluster.router import ROUTING_POLICIES, ClusterRouter, RouterConfig
-from repro.cluster.serve import (
-    affinity_map,
-    knee_vs_replicas,
-    replicated_qps_sweep,
-    serve_replicated,
-)
+from repro.cluster.serve import affinity_map, knee_vs_replicas
 
 __all__ = [
     "lower_trace",
@@ -46,6 +42,4 @@ __all__ = [
     "RouterConfig",
     "affinity_map",
     "knee_vs_replicas",
-    "replicated_qps_sweep",
-    "serve_replicated",
 ]

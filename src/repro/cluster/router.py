@@ -56,6 +56,24 @@ class RouterConfig:
         if self.window_s <= 0:
             raise ConfigError("window_s must be positive")
 
+    def split(self, system, requests, qps, check_invariants=False):
+        """Split a request stream for :func:`repro.serve.serve_once`.
+
+        Returns ``(replica ids, per-request replica, extra control
+        entry)``; every replica id is listed, including one the router
+        sends nothing (it contributes a ``None`` summary).  One replica
+        declines (``None``): the run is the unsplit single-server path,
+        bit for bit.
+        """
+        if self.num_replicas == 1:
+            return None
+        from repro.cluster.serve import affinity_map
+
+        amap = (affinity_map(system, self.num_replicas)
+                if self.policy == "affinity" else None)
+        assign = ClusterRouter(self, affinity_map=amap).assign(requests)
+        return range(self.num_replicas), assign, None
+
 
 class ClusterRouter:
     """Assigns requests to replicas; see module docstring for policies.

@@ -2,41 +2,32 @@
 
 Each replica is one full serving system (the same partitioned graph and
 caches); the :class:`~repro.cluster.router.ClusterRouter` splits the
-open-loop arrival stream into per-replica sub-streams, every replica
-runs independently through the ordinary :class:`~repro.serve.GNNServer`
-pipeline, and the per-request records are merged back — in the original
-arrival order — into one :class:`~repro.serve.ServeReport`, so the SLO
-accounting, knee picker and report tooling all apply unchanged.
+open-loop arrival stream into per-replica sub-streams
+(:meth:`RouterConfig.split <repro.cluster.router.RouterConfig.split>`),
+and :func:`repro.serve.serve_once` runs every replica through the
+ordinary :class:`~repro.serve.GNNServer` pipeline and merges the
+per-request records — in the original arrival order — into one
+:class:`~repro.serve.ServeReport`, so the SLO accounting, knee picker
+and report tooling all apply unchanged.
 
 Replicas are independent in the real system (separate servers), so
 running them sequentially on the simulator and overlaying their
 timelines is exact, not an approximation.  With one replica the run
-*is* :func:`repro.serve.serve_once` — bit-identical, the single-replica
-oracle.
+*is* the single-server ``serve_once`` — bit-identical, the
+single-replica oracle.
 
-The sweep fan-out follows the executor contract: each
-``(workload, qps, router)`` point is a pure function of its run spec
-(the router never observes simulated state), so results are
-byte-identical across ``--workers``.
+This module holds the partition-affinity map the router uses and the
+knee-vs-replica-count scaling curve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cluster.router import ClusterRouter, RouterConfig
-from repro.serve.service import GNNServer, ServeConfig
-from repro.serve.stats import ServeReport, build_report
-from repro.serve.sweep import (
-    SweepPoint,
-    _reseed_sampler,
-    _reset_dynamic,
-    _reset_plan_cache,
-    max_sustainable_qps,
-    serve_once,
-)
+from repro.cluster.router import RouterConfig
+from repro.serve.service import ServeConfig
+from repro.serve.sweep import max_sustainable_qps, qps_sweep
 from repro.serve.workload import Workload
-from repro.utils.errors import ConfigError
 
 
 def affinity_map(system, num_replicas: int) -> np.ndarray | None:
@@ -71,167 +62,6 @@ def affinity_map(system, num_replicas: int) -> np.ndarray | None:
     return (offset * num_replicas) // np.maximum(sizes[owners], 1)
 
 
-def serve_replicated(
-    system,
-    workload: Workload,
-    qps: float,
-    router: RouterConfig | None = None,
-    config: ServeConfig | None = None,
-    tracer=None,
-    metrics: bool = False,
-    metrics_window_s: float | None = None,
-) -> ServeReport:
-    """Serve ``workload`` at one offered QPS across router-split replicas.
-
-    With ``router.num_replicas == 1`` (or no router) this delegates to
-    :func:`~repro.serve.sweep.serve_once` outright.  Otherwise each
-    replica's sub-stream runs through a fresh :class:`GNNServer` (the
-    sampler RNGs and plan cache are reset per replica, exactly like
-    independent sweep points) and the merged report covers the whole
-    request stream.  ``report.metrics`` holds the summed SLO accounting
-    plus each replica's full summary under ``"replicas"``.
-    """
-    router = router if router is not None else RouterConfig()
-    if router.num_replicas == 1:
-        return serve_once(system, workload, qps, config=config, tracer=tracer,
-                          metrics=metrics, metrics_window_s=metrics_window_s)
-    if tracer is not None:
-        raise ConfigError(
-            "tracing a replicated run is ambiguous — trace one replica "
-            "by serving its sub-stream with serve_once instead"
-        )
-    requests = workload.requests(qps)
-    amap = affinity_map(system, router.num_replicas) \
-        if router.policy == "affinity" else None
-    assign = ClusterRouter(router, affinity_map=amap).assign(requests)
-
-    cfg = config if config is not None else ServeConfig()
-    merged = {}
-    num_batches = 0
-    hits = done = 0
-    summaries = []
-    controls = []
-    for rep in range(router.num_replicas):
-        sub = [r for r, a in zip(requests, assign) if a == rep]
-        if not sub:
-            summaries.append(None)
-            controls.append(None)
-            continue
-        _reseed_sampler(system)
-        # the dynamic cache policy mutates the shared feature store as
-        # it follows drift — reset it like the plan cache, so every
-        # replica (and every sweep point ordering) starts from the same
-        # warmed placement
-        _reset_dynamic(system)
-        _reset_plan_cache(system)
-        invariants = None
-        if cfg.check_invariants:
-            from repro.chaos.invariants import InvariantChecker
-
-            invariants = InvariantChecker()
-        registry = None
-        if metrics:
-            from repro.metrics import MetricsRegistry
-
-            registry = MetricsRegistry(
-                window_s=(metrics_window_s if metrics_window_s is not None
-                          else cfg.slo_s)
-            )
-        server = GNNServer(system, cfg, metrics=registry,
-                           invariants=invariants)
-        rep_report = server.run(sub, offered_qps=qps)
-        controls.append(rep_report.control)
-        if invariants is not None:
-            invariants.finalize()
-        for rec in server.last_records:
-            merged[rec.rid] = rec
-        num_batches += server.last_num_batches
-        acc = server.last_accuracy
-        n_done = sum(1 for r in server.last_records
-                     if not r.shed and r.prediction is not None)
-        if n_done and not np.isnan(acc):
-            hits += acc * n_done
-            done += n_done
-        if registry is not None:
-            from repro.metrics import serve_summary
-
-            summaries.append(serve_summary(registry, cfg.slo_s))
-        else:
-            summaries.append(None)
-
-    ordered = [merged[r.rid] for r in requests]
-    accuracy = hits / done if done else float("nan")
-    report = build_report(system.name, qps, cfg.slo_s, ordered, num_batches,
-                          accuracy=accuracy)
-    if metrics:
-        present = [s for s in summaries if s is not None]
-        report.metrics = {
-            "window_ms": present[0]["window_ms"] if present else None,
-            "slo": {
-                "slo_minutes_violated": sum(
-                    s["slo"]["slo_minutes_violated"] for s in present
-                ),
-                "windows": [],
-            },
-            "replicas": summaries,
-        }
-    if cfg.controller is not None:
-        # each replica ran its own tuner instance over its sub-stream;
-        # the merged report carries all of their action logs
-        report.control = {"replicas": controls}
-    if cfg.tenancy is not None:
-        from repro.control.tenancy import tenant_summary
-
-        report.tenants = tenant_summary(ordered, cfg.slo_s)
-    return report
-
-
-def replicated_qps_sweep(
-    system,
-    workload: Workload,
-    qps_values,
-    router: RouterConfig | None = None,
-    config: ServeConfig | None = None,
-    workers: int = 1,
-    metrics: bool = False,
-    metrics_window_s: float | None = None,
-) -> list[SweepPoint]:
-    """A QPS sweep where every point serves through the cluster router.
-
-    Mirrors :func:`~repro.serve.sweep.qps_sweep`: points fan out via
-    :mod:`repro.parallel` (run kind ``cluster_point``) and results are
-    byte-identical whichever worker executes them.
-    """
-    from repro.parallel import RunSpec, adopt_system, run_tasks
-
-    values = sorted(float(q) for q in qps_values)
-    if not values:
-        raise ConfigError("need at least one QPS value")
-    router = router if router is not None else RouterConfig()
-    specs = [
-        RunSpec(
-            kind="cluster_point",
-            label=f"qps{q:g}-r{router.num_replicas}",
-            seed=system.config.seed,
-            payload={
-                "system": system.name,
-                "config": system.config,
-                "workload": workload,
-                "qps": q,
-                "router": router,
-                "serve_config": config,
-                "metrics": metrics,
-                "metrics_window_s": metrics_window_s,
-            },
-        )
-        for q in values
-    ]
-    if workers <= 1:
-        adopt_system(system)
-    reports = run_tasks(specs, workers=workers)
-    return [SweepPoint(qps=q, report=r) for q, r in zip(values, reports)]
-
-
 def knee_vs_replicas(
     system,
     workload: Workload,
@@ -251,11 +81,10 @@ def knee_vs_replicas(
     """
     knees: dict[int, float] = {}
     for r in sorted(int(c) for c in replica_counts):
-        points = replicated_qps_sweep(
-            system, workload, qps_values,
-            router=RouterConfig(num_replicas=r, policy=policy,
-                                seed=system.config.seed),
-            config=config, workers=workers,
+        points = qps_sweep(
+            system, workload, qps_values, config, workers=workers,
+            replicas=RouterConfig(num_replicas=r, policy=policy,
+                                  seed=system.config.seed),
         )
         knees[r] = max_sustainable_qps(points, shed_tol=shed_tol)
     return knees

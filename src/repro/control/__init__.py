@@ -9,9 +9,9 @@ online.  Three controllers, all deterministic pure functions of
 - :class:`ServeController` (:mod:`repro.control.controller`) — a
   hysteresis-banded AIMD tuner that retunes per-GPU batcher
   ``batch_max`` / ``max-wait`` against the streaming SLO burn rate;
-- :func:`autoscaled_serve` (:mod:`repro.control.autoscale`) — replica
-  scaling with warm-up cost on scale-up and drain-don't-drop
-  scale-down;
+- :class:`AutoscaleConfig` (:mod:`repro.control.autoscale`), passed
+  as ``serve_once(..., replicas=...)`` — replica scaling with warm-up
+  cost on scale-up and drain-don't-drop scale-down;
 - :class:`TenancyConfig` (:mod:`repro.control.tenancy`) — priority
   classes and per-tenant admission quotas, with SLO-pressure shedding.
 
@@ -29,8 +29,6 @@ from repro.control.actions import (
 from repro.control.autoscale import (
     AutoscaleConfig,
     assign_replicas,
-    autoscaled_qps_sweep,
-    autoscaled_serve,
 )
 from repro.control.controller import ControllerConfig, ServeController
 from repro.control.evaluate import (
@@ -59,9 +57,7 @@ __all__ = [
     "action_from_dict",
     "actions_to_dicts",
     "assign_replicas",
-    "autoscaled_qps_sweep",
     "control_cell",
-    "autoscaled_serve",
     "control_matrix",
     "format_control_matrix",
     "tenant_summary",

@@ -1,9 +1,10 @@
 """Replica autoscaling: serving capacity as a live control variable.
 
-:func:`autoscaled_serve` serves one open-loop request stream while
-scaling the replica count between ``min_replicas`` and ``max_replicas``
-— GSplit's framing of parallelism as something the system *chooses*
-per load, rather than a sweep axis fixed up front.
+``serve_once(..., replicas=AutoscaleConfig(...))`` serves one
+open-loop request stream while scaling the replica count between
+``min_replicas`` and ``max_replicas`` — GSplit's framing of
+parallelism as something the system *chooses* per load, rather than a
+sweep axis fixed up front.
 
 The control loop runs on arrival time, before any replica simulates:
 the stream is cut into fixed intervals, each boundary folds the
@@ -35,17 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.control.actions import ControlAction, actions_to_dicts
-from repro.serve.service import GNNServer, ServeConfig
-from repro.serve.stats import ServeReport, build_report
-from repro.serve.sweep import (
-    _reseed_sampler,
-    _reset_dynamic,
-    _reset_plan_cache,
-)
-from repro.serve.workload import Workload
 from repro.utils.errors import ConfigError
 
 #: default control interval: the stream span cut into this many slices
@@ -94,6 +85,23 @@ class AutoscaleConfig:
             raise ConfigError("warmup_s must be non-negative")
         if self.cooldown_intervals < 0:
             raise ConfigError("cooldown_intervals must be non-negative")
+
+    def split(self, system, requests, qps, check_invariants=False):
+        """Split a request stream for :func:`repro.serve.serve_once`.
+
+        Runs the scaling loop (:func:`assign_replicas`) and returns
+        ``(replica ids that received work, per-request replica,
+        {"autoscale": action log + timeline})``.  With
+        ``check_invariants`` the loop is audited for ``scale-safety``.
+        """
+        invariants = None
+        if check_invariants:
+            from repro.chaos.invariants import InvariantChecker
+
+            invariants = InvariantChecker()
+        assign, state = assign_replicas(requests, self, qps,
+                                        invariants=invariants)
+        return sorted(set(assign)), assign, {"autoscale": state.summary()}
 
 
 class _ScalerState:
@@ -241,156 +249,4 @@ def assign_replicas(requests, scale: AutoscaleConfig, qps: float,
     return assign, state
 
 
-def autoscaled_serve(
-    system,
-    workload: Workload,
-    qps: float,
-    scale: AutoscaleConfig | None = None,
-    config: ServeConfig | None = None,
-    metrics: bool = False,
-    metrics_window_s: float | None = None,
-) -> ServeReport:
-    """Serve one offered load with the replica count under control.
-
-    Structured like :func:`repro.cluster.serve.serve_replicated`: the
-    scaler splits the stream, each replica's sub-stream runs through a
-    fresh :class:`GNNServer` (sampler RNGs, dynamic cache and plan
-    cache reset per replica), and records merge back in arrival order.
-    ``report.control["autoscale"]`` carries the action log, replica
-    timeline and warm-up accounting.
-    """
-    scale = scale if scale is not None else AutoscaleConfig()
-    cfg = config if config is not None else ServeConfig()
-    requests = workload.requests(qps)
-
-    invariants = None
-    if cfg.check_invariants:
-        from repro.chaos.invariants import InvariantChecker
-
-        invariants = InvariantChecker()
-    assign, state = assign_replicas(requests, scale, qps,
-                                    invariants=invariants)
-
-    replica_ids = sorted(set(assign))
-    merged = {}
-    num_batches = 0
-    hits = done = 0
-    summaries = []
-    controls = []
-    for rep in replica_ids:
-        sub = [r for r, a in zip(requests, assign) if a == rep]
-        _reseed_sampler(system)
-        _reset_dynamic(system)
-        _reset_plan_cache(system)
-        rep_invariants = None
-        if cfg.check_invariants:
-            from repro.chaos.invariants import InvariantChecker
-
-            rep_invariants = InvariantChecker()
-        registry = None
-        if metrics:
-            from repro.metrics import MetricsRegistry
-
-            registry = MetricsRegistry(
-                window_s=(metrics_window_s if metrics_window_s is not None
-                          else cfg.slo_s)
-            )
-        server = GNNServer(system, cfg, metrics=registry,
-                           invariants=rep_invariants)
-        rep_report = server.run(sub, offered_qps=qps)
-        controls.append(rep_report.control)
-        if rep_invariants is not None:
-            rep_invariants.finalize()
-        for rec in server.last_records:
-            merged[rec.rid] = rec
-        num_batches += server.last_num_batches
-        acc = server.last_accuracy
-        n_done = sum(1 for r in server.last_records
-                     if not r.shed and r.prediction is not None)
-        if n_done and not np.isnan(acc):
-            hits += acc * n_done
-            done += n_done
-        if registry is not None:
-            from repro.metrics import serve_summary
-
-            summaries.append(serve_summary(registry, cfg.slo_s))
-        else:
-            summaries.append(None)
-
-    ordered = [merged[r.rid] for r in requests]
-    accuracy = hits / done if done else float("nan")
-    report = build_report(system.name, qps, cfg.slo_s, ordered, num_batches,
-                          accuracy=accuracy)
-    if metrics:
-        present = [s for s in summaries if s is not None]
-        report.metrics = {
-            "window_ms": present[0]["window_ms"] if present else None,
-            "slo": {
-                "slo_minutes_violated": sum(
-                    s["slo"]["slo_minutes_violated"] for s in present
-                ),
-                "windows": [],
-            },
-            "replicas": summaries,
-        }
-    control: dict = {"autoscale": state.summary()}
-    if cfg.controller is not None:
-        control["replicas"] = controls
-    report.control = control
-    if cfg.tenancy is not None:
-        from repro.control.tenancy import tenant_summary
-
-        report.tenants = tenant_summary(ordered, cfg.slo_s)
-    return report
-
-
-def autoscaled_qps_sweep(
-    system,
-    workload: Workload,
-    qps_values,
-    scale: AutoscaleConfig | None = None,
-    config: ServeConfig | None = None,
-    workers: int = 1,
-    metrics: bool = False,
-    metrics_window_s: float | None = None,
-):
-    """A QPS sweep where every point serves under the autoscaler.
-
-    Mirrors :func:`repro.cluster.serve.replicated_qps_sweep`: points
-    fan out as ``cluster_point`` runs (the handler dispatches on the
-    ``autoscale`` payload key) and are byte-identical across
-    ``--workers``.
-    """
-    from repro.parallel import RunSpec, adopt_system, run_tasks
-    from repro.serve.sweep import SweepPoint
-
-    values = sorted(float(q) for q in qps_values)
-    if not values:
-        raise ConfigError("need at least one QPS value")
-    scale = scale if scale is not None else AutoscaleConfig()
-    specs = [
-        RunSpec(
-            kind="cluster_point",
-            label=f"qps{q:g}-auto{scale.max_replicas}",
-            seed=system.config.seed,
-            payload={
-                "system": system.name,
-                "config": system.config,
-                "workload": workload,
-                "qps": q,
-                "autoscale": scale,
-                "serve_config": config,
-                "metrics": metrics,
-                "metrics_window_s": metrics_window_s,
-            },
-        )
-        for q in values
-    ]
-    if workers <= 1:
-        adopt_system(system)
-    reports = run_tasks(specs, workers=workers)
-    return [SweepPoint(qps=q, report=r) for q, r in zip(values, reports)]
-
-
-__all__ = ["AutoscaleConfig", "DEFAULT_INTERVALS", "assign_replicas",
-           "autoscaled_serve", "autoscaled_qps_sweep"]
+__all__ = ["AutoscaleConfig", "DEFAULT_INTERVALS", "assign_replicas"]

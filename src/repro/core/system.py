@@ -38,7 +38,7 @@ from repro.sampling.csp import CollectiveSampler, CSPConfig
 from repro.sampling.frontier import MiniBatchSample
 from repro.sampling.ops import AllReduce, LocalKernel, OpTrace, UVAGather
 from repro.utils.errors import ConfigError
-from repro.utils.rng import make_rng
+from repro.utils.rng import make_rng, spawn_rngs
 
 MODELS = {"sage": GraphSAGE, "gcn": GCN, "gat": GAT}
 
@@ -97,6 +97,8 @@ class TrainingSystem:
             replace=config.replace,
         )
         self._rng = make_rng(config.seed)
+        #: set once :meth:`warm_cache` has seeded the dynamic policy
+        self._warm_applied = False
         self._prepare()  # sets self.data, self.sampler, self.loader
 
         model_cls = MODELS[config.model]
@@ -387,6 +389,46 @@ class TrainingSystem:
             self.batches_seen = int(z["batches_seen"][0])
         for model in self.models:
             model.load_state(state)
+
+    # -- serving points -----------------------------------------------------
+    def reset_point(self) -> None:
+        """Return the state a serving run mutates to its baseline.
+
+        Sampler RNG streams go back to their built state (every point
+        samples the same neighbourhoods), the dynamic cache policy and
+        the store it mutates to the post-warmup placement, and the plan
+        cache to empty — hit/miss counts reach the metrics layer, so
+        they must be a pure function of the point too.  Every serving
+        point and every replica pass calls this first, which makes a
+        point's report independent of which points (or which worker)
+        ran before it.
+        """
+        rngs = getattr(self.sampler, "rngs", None)
+        if rngs is not None:
+            self.sampler.rngs = spawn_rngs(make_rng(self.config.seed),
+                                           len(rngs))
+        dyn = getattr(self.loader, "dynamic", None)
+        if dyn is not None:
+            dyn.reset()
+        pc = getattr(self.loader, "plan_cache", None)
+        if pc is not None:
+            pc.reset()
+
+    def warm_cache(self, nodes) -> int | None:
+        """Seed the dynamic cache policy from workload history, once.
+
+        ``nodes`` are renumbered node ids.  The warmed placement becomes
+        the baseline :meth:`reset_point` restores.  Later calls on the
+        same system are no-ops, so every process serving a sweep warms
+        its own copy exactly once.  Returns the rows promoted, or
+        ``None`` when there is no dynamic policy or it was already
+        warmed.
+        """
+        dyn = getattr(self.loader, "dynamic", None)
+        if dyn is None or self._warm_applied:
+            return None
+        self._warm_applied = True
+        return dyn.warm(nodes)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, nodes: np.ndarray, batch: int = 256) -> float:

@@ -26,10 +26,13 @@ Design
   the parent with the child's formatted traceback embedded, so a
   fan-out failure reads the same as a serial one.
 
-Serving tasks reuse one built system per worker process (a serving
-point re-seeds the sampler and leaves the system untouched, see
-:func:`repro.serve.sweep.serve_once`); epoch tasks always build fresh
-because an epoch mutates sampler RNGs and shuffling state.
+Five run kinds are registered: ``serve_point`` (one QPS point of a
+serving sweep, single-server, routed or autoscaled), ``epoch``,
+``perf_bench``, ``chaos_scenario`` and ``control_cell``.  Serving
+points reuse one built system per worker process (a point resets it
+first, see :meth:`repro.core.system.TrainingSystem.reset_point`);
+epoch tasks always build fresh because an epoch mutates sampler RNGs
+and shuffling state.
 """
 
 from __future__ import annotations
@@ -103,7 +106,7 @@ class RunSpec:
 _HANDLERS: dict[str, Callable[[RunSpec], Any]] = {}
 
 #: per-process memo of built systems, used only by tasks that leave the
-#: system in its just-built state (serving points re-seed the sampler)
+#: system in its just-built state (serving points reset it first)
 _SYSTEM_CACHE: dict[tuple, Any] = {}
 
 
@@ -135,21 +138,21 @@ def _shared_system(name: str, config):
 
 
 def _serve_point(spec: RunSpec):
-    """One QPS point of a serving sweep -> :class:`ServeReport`."""
+    """One QPS point of a serving sweep -> :class:`ServeReport`.
+
+    Covers every ``replicas`` mode (single server, router, autoscaler):
+    routing and scaling run on arrival time and every replica pass
+    resets the system, so the report is a pure function of the spec.
+    ``serve_once`` is looked up at call time, once per point.
+    """
     from repro.serve.sweep import serve_once
 
     p = spec.payload
     system = _shared_system(p["system"], p["config"])
-    warm_nodes = p.get("warm_nodes")
-    if warm_nodes is not None:
-        # seed the dynamic cache policy from workload history, once per
-        # process: the warmed placement becomes the baseline every
-        # serve_once resets to, so points are byte-identical whichever
-        # worker executes them
-        dyn = getattr(getattr(system, "loader", None), "dynamic", None)
-        if dyn is not None and not getattr(dyn, "_warm_applied", False):
-            dyn.warm(warm_nodes)
-            dyn._warm_applied = True
+    if p.get("warm_nodes") is not None:
+        # once per process: the warmed placement becomes the baseline
+        # every serving point resets to, whichever worker executes it
+        system.warm_cache(p["warm_nodes"])
     tracer = None
     if spec.trace_path:
         from repro.obs import Tracer
@@ -159,6 +162,7 @@ def _serve_point(spec: RunSpec):
         system, p["workload"], p["qps"], p.get("serve_config"), tracer=tracer,
         metrics=p.get("metrics", False),
         metrics_window_s=p.get("metrics_window_s"),
+        replicas=p.get("replicas"),
     )
     if tracer is not None:
         from repro.obs import write_chrome_trace
@@ -214,38 +218,6 @@ def _chaos_scenario(spec: RunSpec):
     )
 
 
-def _cluster_point(spec: RunSpec):
-    """One QPS point served through the cluster router -> ServeReport.
-
-    Pure function of the spec: the router is deterministic and every
-    replica pass re-seeds the sampler, so the merged report is
-    bit-identical whichever worker executes the point.  A payload with
-    an ``autoscale`` key serves under the replica autoscaler instead of
-    a fixed router (same purity argument — the scaler runs on arrival
-    time, before any replica simulates).
-    """
-    p = spec.payload
-    system = _shared_system(p["system"], p["config"])
-    scale = p.get("autoscale")
-    if scale is not None:
-        from repro.control.autoscale import autoscaled_serve
-
-        return autoscaled_serve(
-            system, p["workload"], p["qps"], scale=scale,
-            config=p.get("serve_config"),
-            metrics=p.get("metrics", False),
-            metrics_window_s=p.get("metrics_window_s"),
-        )
-    from repro.cluster.serve import serve_replicated
-
-    return serve_replicated(
-        system, p["workload"], p["qps"], router=p.get("router"),
-        config=p.get("serve_config"),
-        metrics=p.get("metrics", False),
-        metrics_window_s=p.get("metrics_window_s"),
-    )
-
-
 def _control_cell(spec: RunSpec):
     """One cell of the controller-vs-static evaluation matrix.
 
@@ -268,7 +240,6 @@ def _control_cell(spec: RunSpec):
 
 
 register_handler("serve_point", _serve_point)
-register_handler("cluster_point", _cluster_point)
 register_handler("epoch", _epoch)
 register_handler("perf_bench", _perf_bench)
 register_handler("chaos_scenario", _chaos_scenario)

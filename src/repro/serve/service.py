@@ -474,7 +474,7 @@ class GNNServer:
             span = max(r.arrival for r in requests)
             offered_qps = len(requests) / span if span > 0 else float("nan")
         #: per-request records / batch count / functional accuracy of the
-        #: latest run, kept for replica merging (repro.cluster.serve)
+        #: latest run, kept for replica merging (repro.serve.sweep.serve_once)
         self.last_records = ordered
         self.last_num_batches = batch_count[0]
         self.last_accuracy = accuracy

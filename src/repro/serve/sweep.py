@@ -8,17 +8,23 @@ within the SLO and (at most) a token shed rate.  Comparing knees across
 systems is the serving analogue of Table 4 — DSP's partitioned cache +
 CSP sampling buy it a strictly higher sustainable QPS than Pull-Data
 or UVA data movement at the same SLO.
+
+:func:`serve_once` is the one serving-point runner: a single server by
+default, or — through ``replicas=`` — a stream split across routed
+(:class:`~repro.cluster.RouterConfig`) or autoscaled
+(:class:`~repro.control.AutoscaleConfig`) replicas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.serve.service import GNNServer, ServeConfig
-from repro.serve.stats import ServeReport
+from repro.serve.stats import ServeReport, build_report
 from repro.serve.workload import Workload
 from repro.utils.errors import ConfigError
-from repro.utils.rng import make_rng, spawn_rngs
 
 
 @dataclass(frozen=True)
@@ -29,35 +35,35 @@ class SweepPoint:
     report: ServeReport
 
 
-def _reseed_sampler(system) -> None:
-    """Restore the sampler's RNG streams to their built state so every
-    sweep point samples the same neighbourhoods (comparability)."""
-    sampler = getattr(system, "sampler", None)
-    rngs = getattr(sampler, "rngs", None)
-    if rngs is not None:
-        sampler.rngs = spawn_rngs(make_rng(system.config.seed), len(rngs))
+def _serve_stream(system, requests, qps, config, tracer, metrics,
+                   metrics_window_s):
+    """Reset ``system`` to its point baseline and serve ``requests`` on
+    one fresh :class:`GNNServer`; returns ``(server, report)`` with
+    ``report.metrics`` filled when ``metrics`` is set."""
+    system.reset_point()
+    invariants = None
+    if config.check_invariants:
+        from repro.chaos.invariants import InvariantChecker
 
+        invariants = InvariantChecker()
+    registry = None
+    if metrics:
+        from repro.metrics import MetricsRegistry
 
-def _reset_dynamic(system) -> None:
-    """Return the dynamic cache policy — and the shared store it
-    mutates — to the post-warmup baseline, so each sweep point starts
-    from the same placement whichever worker executes it."""
-    dyn = getattr(getattr(system, "loader", None), "dynamic", None)
-    if dyn is not None:
-        dyn.reset()
+        registry = MetricsRegistry(
+            window_s=(metrics_window_s if metrics_window_s is not None
+                      else config.slo_s)
+        )
+    server = GNNServer(system, config, tracer=tracer, metrics=registry,
+                       invariants=invariants)
+    report = server.run(requests, offered_qps=qps)
+    if invariants is not None:
+        invariants.finalize()
+    if registry is not None:
+        from repro.metrics import serve_summary
 
-
-def _reset_plan_cache(system) -> None:
-    """Return the feature-path plan cache to its freshly-built state.
-
-    Sweep points sharing a process also share ``system.loader`` and its
-    plan cache; loader outputs are cache-transparent, but hit/miss
-    counts (surfaced by the metrics layer) are not.  Resetting per run
-    makes them a pure function of the point — byte-identical whichever
-    worker executes it."""
-    pc = getattr(getattr(system, "loader", None), "plan_cache", None)
-    if pc is not None:
-        pc.reset()
+        report.metrics = serve_summary(registry, report.slo_s)
+    return server, report
 
 
 def serve_once(
@@ -68,9 +74,11 @@ def serve_once(
     tracer=None,
     metrics: bool = False,
     metrics_window_s: float | None = None,
+    replicas=None,
 ) -> ServeReport:
-    """Serve ``workload`` at one offered QPS; sampler RNGs are reset
-    first so points of a sweep are independent and reproducible.
+    """Serve ``workload`` at one offered QPS; the system is reset to
+    its point baseline first (:meth:`TrainingSystem.reset_point`) so
+    points of a sweep are independent and reproducible.
 
     With ``config.check_invariants`` the run is audited by an
     :class:`~repro.chaos.InvariantChecker` (strict: a broken simulation
@@ -85,33 +93,82 @@ def serve_once(
     functions of simulated time, so the summary is byte-identical
     whichever worker runs the point.  With ``metrics=False`` the report
     is bit-identical to one produced before the metrics layer existed.
+
+    ``replicas`` (a :class:`~repro.cluster.RouterConfig` or
+    :class:`~repro.control.AutoscaleConfig`) splits the request stream
+    across serving replicas through its ``split`` method.  Each
+    replica's sub-stream runs through a freshly reset
+    :class:`GNNServer` and the records merge back in arrival order into
+    one report: ``report.metrics`` holds the summed SLO accounting plus
+    each replica's summary under ``"replicas"``, and ``report.control``
+    each replica's tuner log (with a controller) next to the splitter's
+    own entry (the autoscaler's action log).  ``None`` — or a split
+    that declines, like a one-replica router — serves unsplit.
     """
-    _reseed_sampler(system)
-    _reset_dynamic(system)
-    _reset_plan_cache(system)
-    invariants = None
-    if config is not None and config.check_invariants:
-        from repro.chaos.invariants import InvariantChecker
-
-        invariants = InvariantChecker()
-    registry = None
-    if metrics:
-        from repro.metrics import MetricsRegistry
-
-        cfg = config if config is not None else ServeConfig()
-        registry = MetricsRegistry(
-            window_s=(metrics_window_s if metrics_window_s is not None
-                      else cfg.slo_s)
+    cfg = config if config is not None else ServeConfig()
+    requests = workload.requests(qps)
+    split = (None if replicas is None
+             else replicas.split(system, requests, qps, cfg.check_invariants))
+    if split is None:
+        return _serve_stream(system, requests, qps, cfg, tracer, metrics,
+                             metrics_window_s)[1]
+    if tracer is not None:
+        raise ConfigError(
+            "tracing a replicated run is ambiguous — trace one replica "
+            "by serving its sub-stream without replicas instead"
         )
-    server = GNNServer(system, config, tracer=tracer, metrics=registry,
-                       invariants=invariants)
-    report = server.run(workload.requests(qps), offered_qps=qps)
-    if invariants is not None:
-        invariants.finalize()
-    if registry is not None:
-        from repro.metrics import serve_summary
+    replica_ids, assign, control = split
+    merged = {}
+    num_batches = 0
+    hits = done = 0
+    summaries = []
+    controls = []
+    for rep in replica_ids:
+        sub = [r for r, a in zip(requests, assign) if a == rep]
+        if not sub:
+            summaries.append(None)
+            controls.append(None)
+            continue
+        server, rep_report = _serve_stream(system, sub, qps, cfg, None,
+                                           metrics, metrics_window_s)
+        summaries.append(rep_report.metrics)
+        controls.append(rep_report.control)
+        for rec in server.last_records:
+            merged[rec.rid] = rec
+        num_batches += server.last_num_batches
+        acc = server.last_accuracy
+        n_done = sum(1 for r in server.last_records
+                     if not r.shed and r.prediction is not None)
+        if n_done and not np.isnan(acc):
+            hits += acc * n_done
+            done += n_done
 
-        report.metrics = serve_summary(registry, report.slo_s)
+    ordered = [merged[r.rid] for r in requests]
+    accuracy = hits / done if done else float("nan")
+    report = build_report(system.name, qps, cfg.slo_s, ordered, num_batches,
+                          accuracy=accuracy)
+    if metrics:
+        present = [s for s in summaries if s is not None]
+        report.metrics = {
+            "window_ms": present[0]["window_ms"] if present else None,
+            "slo": {
+                "slo_minutes_violated": sum(
+                    s["slo"]["slo_minutes_violated"] for s in present
+                ),
+                "windows": [],
+            },
+            "replicas": summaries,
+        }
+    control = dict(control or {})
+    if cfg.controller is not None:
+        # each replica ran its own tuner instance over its sub-stream
+        control["replicas"] = controls
+    if control:
+        report.control = control
+    if cfg.tenancy is not None:
+        from repro.control.tenancy import tenant_summary
+
+        report.tenants = tenant_summary(ordered, cfg.slo_s)
     return report
 
 
@@ -125,11 +182,12 @@ def qps_sweep(
     metrics: bool = False,
     metrics_window_s: float | None = None,
     warm_nodes=None,
+    replicas=None,
 ) -> list[SweepPoint]:
     """Serve the workload at each offered load, in increasing order.
 
-    Every point is an independent run (``serve_once`` re-seeds the
-    sampler), so with ``workers > 1`` the points fan out across CPU
+    Every point is an independent run (``serve_once`` resets the
+    system first), so with ``workers > 1`` the points fan out across CPU
     cores via :mod:`repro.parallel`; results are bit-identical to the
     serial sweep because both paths run the same ``serve_point``
     handler — the worker count only decides which process executes it.
@@ -145,12 +203,15 @@ def qps_sweep(
     (see :func:`serve_once`); the summaries ride on each report and are
     byte-identical across ``workers`` settings.
 
+    ``replicas`` serves every point split across replicas (see
+    :func:`serve_once`); tracing such a point is rejected.
+
     ``warm_nodes`` (renumbered node ids) seeds the dynamic cache policy
     from workload history *inside each executing process*, exactly once
     — worker processes rebuild the system from its config, so warmup
     applied only to the caller's system would make results depend on
-    which process served a point.  Ignored when the system has no
-    dynamic policy.
+    which process served a point.  This holds in every ``replicas``
+    mode.  Ignored when the system has no dynamic policy.
     """
     from repro.obs.export import run_trace_path
     from repro.parallel import RunSpec, adopt_system, run_tasks
@@ -172,6 +233,7 @@ def qps_sweep(
                 "metrics": metrics,
                 "metrics_window_s": metrics_window_s,
                 "warm_nodes": warm_nodes,
+                "replicas": replicas,
             },
             trace_path=(
                 run_trace_path(trace_base, f"qps{q:g}") if trace_base else None

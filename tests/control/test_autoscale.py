@@ -7,9 +7,8 @@ from repro.control import (
     AutoscaleConfig,
     ControllerConfig,
     assign_replicas,
-    autoscaled_serve,
 )
-from repro.serve import ServeConfig, WorkloadConfig, make_workload
+from repro.serve import ServeConfig, WorkloadConfig, make_workload, serve_once
 from repro.utils import ConfigError
 
 from tests.control.conftest import digest
@@ -31,8 +30,8 @@ def rich_diurnal(nodes):
 def scaled(system, rich_diurnal):
     scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                             target_qps_per_replica=TARGET)
-    return autoscaled_serve(system, rich_diurnal, 8000.0, scale=scale,
-                            config=ServeConfig(check_invariants=True))
+    return serve_once(system, rich_diurnal, 8000.0,
+                      ServeConfig(check_invariants=True), replicas=scale)
 
 
 class TestConfigValidation:
@@ -137,9 +136,9 @@ class TestSafety:
                 assert req.arrival <= state.retired[rep]
 
     def test_degenerate_range_never_acts(self, system, rich_diurnal):
-        report = autoscaled_serve(
+        report = serve_once(
             system, rich_diurnal, 8000.0,
-            scale=AutoscaleConfig(min_replicas=1, max_replicas=1),
+            replicas=AutoscaleConfig(min_replicas=1, max_replicas=1),
         )
         auto = report.control["autoscale"]
         assert auto["actions"] == []
@@ -160,8 +159,8 @@ class TestDeterminism:
             self, system, rich_diurnal, scaled):
         scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                                 target_qps_per_replica=TARGET)
-        again = autoscaled_serve(system, rich_diurnal, 8000.0, scale=scale,
-                                 config=ServeConfig(check_invariants=True))
+        again = serve_once(system, rich_diurnal, 8000.0,
+                           ServeConfig(check_invariants=True), replicas=scale)
         assert digest(again.to_dict()) == digest(scaled.to_dict())
 
     def test_default_target_is_qps_over_max(self, rich_diurnal):
@@ -178,9 +177,10 @@ class TestControllerComposition:
         summary under control['replicas']."""
         scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
                                 target_qps_per_replica=TARGET)
-        report = autoscaled_serve(
-            system, rich_diurnal, 8000.0, scale=scale,
-            config=ServeConfig(slo_s=2e-3, controller=ControllerConfig()),
+        report = serve_once(
+            system, rich_diurnal, 8000.0,
+            ServeConfig(slo_s=2e-3, controller=ControllerConfig()),
+            replicas=scale,
         )
         replicas = report.control["replicas"]
         assert len(replicas) == report.control["autoscale"]["max_replicas_used"]

@@ -11,15 +11,13 @@ and workload replay to the identical action log, and every fan-out is
 byte-identical across ``--workers``.
 """
 
-import numpy as np
+from dataclasses import replace
 
-from repro.cluster import RouterConfig, serve_replicated
-from repro.control import (
-    AutoscaleConfig,
-    ControllerConfig,
-    autoscaled_qps_sweep,
-    control_matrix,
-)
+import numpy as np
+import pytest
+
+from repro.cluster import RouterConfig
+from repro.control import AutoscaleConfig, ControllerConfig, control_matrix
 from repro.core import build_system
 from repro.serve import ServeConfig, WorkloadConfig, make_workload, qps_sweep
 from repro.serve.sweep import serve_once
@@ -62,9 +60,9 @@ class TestDefaultsOffBitIdentity:
         assert digest([p.report.to_dict() for p in pts]) == HEAD_QPS_SWEEP
 
     def test_serve_replicated_matches_head(self, system, poisson):
-        report = serve_replicated(
+        report = serve_once(
             system, poisson, 8000.0,
-            router=RouterConfig(num_replicas=2, policy="affinity", seed=3),
+            replicas=RouterConfig(num_replicas=2, policy="affinity", seed=3),
         )
         assert digest(report.to_dict()) == HEAD_REPLICATED
 
@@ -119,14 +117,29 @@ class TestWorkerByteIdentity:
         assert (digest([p.report.to_dict() for p in serial])
                 == digest([p.report.to_dict() for p in fanned]))
 
-    def test_autoscaled_sweep_identical_across_workers(
-            self, system, diurnal):
-        scale = AutoscaleConfig(min_replicas=1, max_replicas=3,
-                                target_qps_per_replica=6000.0)
-        serial = autoscaled_qps_sweep(system, diurnal, [4000.0, 8000.0],
-                                      scale=scale, workers=1)
-        fanned = autoscaled_qps_sweep(system, diurnal, [4000.0, 8000.0],
-                                      scale=scale, workers=2)
+    @pytest.mark.parametrize("replicas", [
+        None,
+        RouterConfig(num_replicas=2, policy="affinity", seed=3),
+        AutoscaleConfig(min_replicas=1, max_replicas=3,
+                        target_qps_per_replica=6000.0),
+    ], ids=["single", "router", "auto"])
+    def test_sweep_identical_across_workers(self, replicas):
+        """Every replicas mode on a warmed dynamic cache: worker
+        processes rebuild the system and must warm it exactly like the
+        caller's, or the points drift apart."""
+        system = build_system(
+            "DSP", replace(CFG, dynamic_cache=True, feature_cache_bytes=3200.0)
+        )
+        workload = make_workload(
+            WorkloadConfig(num_requests=192, arrival="diurnal", skew=1.5,
+                           drift_phases=2, seed=5),
+            np.arange(system.base_dataset.num_nodes),
+        )
+        warm = system.numbering.old_to_new[workload.nodes[:64]]
+        serial = qps_sweep(system, workload, [4000.0, 8000.0], workers=1,
+                           warm_nodes=warm, replicas=replicas)
+        fanned = qps_sweep(system, workload, [4000.0, 8000.0], workers=2,
+                           warm_nodes=warm, replicas=replicas)
         assert (digest([p.report.to_dict() for p in serial])
                 == digest([p.report.to_dict() for p in fanned]))
 
@@ -136,10 +149,9 @@ class TestWorkerByteIdentity:
         of its spec: a fresh-process rebuild reproduces it exactly."""
         cfg = ServeConfig(slo_s=TIGHT_SLO_S, controller=ControllerConfig())
         router = RouterConfig(num_replicas=2, policy="affinity", seed=3)
-        a = serve_replicated(system, diurnal, 8000.0, router=router,
-                             config=cfg)
-        b = serve_replicated(build_system("DSP", CFG), diurnal, 8000.0,
-                             router=router, config=cfg)
+        a = serve_once(system, diurnal, 8000.0, cfg, replicas=router)
+        b = serve_once(build_system("DSP", CFG), diurnal, 8000.0, cfg,
+                       replicas=router)
         assert digest(a.to_dict()) == digest(b.to_dict())
         assert len(a.control["replicas"]) == 2
 

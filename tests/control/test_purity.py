@@ -8,7 +8,7 @@ never on which points ran before it in the same process.
 
 import pytest
 
-from repro.cluster import RouterConfig, serve_replicated
+from repro.cluster import RouterConfig
 from repro.control import ControllerConfig, control_cell
 from repro.core import RunConfig, build_system
 from repro.serve import ServeConfig, qps_sweep
@@ -66,8 +66,6 @@ def test_replicated_serve_is_repeatable_on_dynamic_system(
         dynamic_system, diurnal):
     router = RouterConfig(num_replicas=2, policy="affinity", seed=3)
     cfg = ServeConfig(slo_s=TIGHT_SLO_S, controller=ControllerConfig())
-    a = serve_replicated(dynamic_system, diurnal, 8000.0, router=router,
-                         config=cfg)
-    b = serve_replicated(dynamic_system, diurnal, 8000.0, router=router,
-                         config=cfg)
+    a = serve_once(dynamic_system, diurnal, 8000.0, cfg, replicas=router)
+    b = serve_once(dynamic_system, diurnal, 8000.0, cfg, replicas=router)
     assert digest(a.to_dict()) == digest(b.to_dict())

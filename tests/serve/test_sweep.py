@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.cluster import RouterConfig
+from repro.control import AutoscaleConfig
 from repro.core import RunConfig, build_system
 from repro.serve import (
     ServeConfig,
@@ -51,6 +53,32 @@ class TestSweep:
         a = qps_sweep(system, w, [2000.0], ServeConfig())
         b = qps_sweep(system, w, [2000.0], ServeConfig())
         assert a[0].report.to_dict() == b[0].report.to_dict()
+
+    @pytest.mark.parametrize("replicas", [
+        None,
+        RouterConfig(num_replicas=2),
+        AutoscaleConfig(min_replicas=1, max_replicas=3),
+    ], ids=["single", "router", "auto"])
+    def test_one_serve_once_call_per_point(self, monkeypatch, replicas):
+        """The sweep handler looks ``serve_once`` up in its module at
+        call time and calls it exactly once per point in every replicas
+        mode — the hook a wrapper around the module attribute sees."""
+        import repro.serve.sweep as sweep
+
+        calls = []
+        inner = sweep.serve_once
+
+        def counting(system, workload, qps, *args, **kwargs):
+            calls.append((qps, kwargs.get("replicas")))
+            return inner(system, workload, qps, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "serve_once", counting)
+        system = build_system("DSP", CFG)
+        w = make_workload(WorkloadConfig(num_requests=32, seed=1),
+                          np.arange(system.base_dataset.num_nodes))
+        qps_sweep(system, w, [4000.0, 1000.0], ServeConfig(),
+                  replicas=replicas)
+        assert calls == [(1000.0, replicas), (4000.0, replicas)]
 
     def test_empty_ladder_rejected(self):
         system = build_system("DSP", CFG)

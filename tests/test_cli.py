@@ -10,6 +10,13 @@ from repro.cli import build_parser, main
 ARGS = ["--dataset", "tiny", "--gpus", "2", "--hidden", "16",
         "--batch-size", "8", "--fanout", "5,3"]
 
+#: a drifting skewed stream on a small warmed dynamic cache; two QPS
+#: points so ``--workers 2`` really fans out to worker processes
+WARMUP_SERVE = ["--dataset", "tiny", "--gpus", "2", "--fanout", "12",
+                "--requests", "256", "--qps", "1000000,2000000",
+                "--skew", "1.5", "--drift-phases", "2", "--cache-bytes", "3200",
+                "--dynamic-cache", "--cache-warmup", "64", "--metrics"]
+
 
 class TestCLI:
     def test_info(self, capsys):
@@ -109,6 +116,32 @@ class TestCLI:
         acc = payload["systems"]["DSP"]["points"][0]["accuracy"]
         assert 0.0 <= acc <= 1.0
 
+    @pytest.mark.parametrize("mode", [["--num-replicas", "2"],
+                                      ["--scale-max", "3"]],
+                             ids=["router", "auto"])
+    def test_serve_warmup_identical_across_workers(self, capsys, tmp_path,
+                                                   mode):
+        """--cache-warmup reaches every worker in every replicas mode,
+        so the JSON is byte-identical whichever process served."""
+        outs = []
+        for workers in ("1", "2"):
+            path = tmp_path / f"w{workers}.json"
+            assert main(["serve", *WARMUP_SERVE, *mode, "--workers", workers,
+                         "--out", str(path)]) == 0
+            outs.append(path.read_bytes())
+        assert "warmed dynamic cache" in capsys.readouterr().out
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("bad", [
+        ["--scale-min", "3", "--scale-max", "2"],
+        ["--qps", ","],
+        ["--num-replicas", "0"],
+    ], ids=["scale-range", "qps", "zero-replicas"])
+    def test_serve_bad_input_is_one_line_error(self, capsys, bad):
+        assert main(["serve", *ARGS, "--requests", "8", *bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_serve_bad_arrival_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--arrival", "uniform"])
@@ -127,12 +160,10 @@ class TestCLI:
             r["wall_s_before"] / r["wall_s_after"]
         )
 
-    def test_perf_rejects_unknown_bench(self, tmp_path):
-        from repro.utils import ConfigError
-
-        with pytest.raises(ConfigError):
-            main(["perf", "--quick", "--benches", "magic",
-                  "--out", str(tmp_path / "x.json")])
+    def test_perf_rejects_unknown_bench(self, capsys, tmp_path):
+        assert main(["perf", "--quick", "--benches", "magic",
+                     "--out", str(tmp_path / "x.json")]) == 1
+        assert "magic" in capsys.readouterr().err
 
     def test_parser_rejects_unknown_system(self):
         with pytest.raises(SystemExit):
