@@ -46,10 +46,52 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cache.loader import dedup
 from repro.cache.store import PartitionedCache
 from repro.utils.errors import ConfigError
 
 __all__ = ["DynamicCacheConfig", "DynamicCachePolicy"]
+
+
+def _head_mask(key: np.ndarray, tie: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the ``k`` entries that ``np.lexsort((tie, key))`` puts
+    first, without sorting: ``np.partition`` finds the k-th ``key`` and
+    the entries tied with it are resolved by ``tie`` (then index, as
+    the stable lexsort does)."""
+    n = len(key)
+    if k >= n:
+        return np.ones(n, dtype=bool)
+    if k <= 0:
+        return np.zeros(n, dtype=bool)
+    t = np.partition(key, k - 1)[k - 1]
+    head = key < t
+    at = np.flatnonzero(key == t)
+    need = k - int(np.count_nonzero(head))
+    head[at[np.argsort(tie[at], kind="stable")[:need]]] = True
+    return head
+
+
+def _lex_sorted(idx: np.ndarray, key: np.ndarray,
+                tie: np.ndarray) -> np.ndarray:
+    """``idx`` ordered as ``np.lexsort((tie, key))`` orders them."""
+    return idx[np.lexsort((tie[idx], key[idx]))]
+
+
+def _split_top(s: np.ndarray, rank: np.ndarray, k: int,
+               cached: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(challengers, victims) of one patch re-selecting its ``k``
+    hottest nodes — score descending, static rank breaking ties.
+
+    Challengers are the wanted non-residents, hottest first; victims
+    the unwanted residents, coldest first.  Exactly the slices of
+    ``order = np.lexsort((rank, -s))`` that a full sort gives
+    (``order[:k]`` minus residents, ``order[k:]`` residents reversed),
+    but only those two short lists are ever sorted."""
+    neg = -s
+    want = _head_mask(neg, rank, k)
+    challengers = _lex_sorted(np.flatnonzero(want & ~cached), neg, rank)
+    victims = _lex_sorted(np.flatnonzero(~want & cached), neg, rank)
+    return challengers, victims[::-1]
 
 
 @dataclass(frozen=True)
@@ -271,12 +313,9 @@ class DynamicCachePolicy:
             if target <= 0 or hi <= lo:
                 continue
             s = self.score[lo:hi]
-            # primary key: score descending; secondary: static rank —
-            # lexsort sorts by the LAST key first
-            order = np.lexsort((self._rank[lo:hi], -s))
-            want = order[:target]
             cur = cached[lo:hi]
-            cand = want[~cur[want]]  # challengers, hottest first
+            # challengers hottest first, victims coldest resident first
+            cand, victims = _split_top(s, self._rank[lo:hi], target, cur)
             if cfg.max_moves is not None and len(cand) > cfg.max_moves:
                 cand = cand[: cfg.max_moves]
             # free slots (underfull cache) are filled unconditionally;
@@ -284,8 +323,6 @@ class DynamicCachePolicy:
             # and must clear the hysteresis margin
             free = max(target - int(cur.sum()), 0)
             take_free = min(free, len(cand))
-            rest = order[target:]
-            victims = rest[cur[rest]][::-1]  # coldest resident first
             swaps = cand[take_free:]
             n = min(len(swaps), len(victims))
             if n:
@@ -330,17 +367,19 @@ class DynamicCachePolicy:
         cand = cand[hot]
         if len(cand) == 0:
             return False
-        cand = np.unique(cand)  # a node requested by several GPUs stages once
+        cand = dedup(cand)  # a node requested by several GPUs stages once
         eff = self.score[cand] + self.counts[cand]
-        owners = store.owner[cand]
         offsets = store.part_offsets
+        # cand is sorted and patches are contiguous id ranges
+        bounds = np.searchsorted(cand, offsets)
         cached = store.cached
         quota = self.config.prefetch_quota
         moved = demoted = 0
-        for g in np.unique(owners):
-            sel = owners == g
-            ids = cand[sel]
-            e = eff[sel]
+        for g in range(self.num_gpus):
+            a, b = int(bounds[g]), int(bounds[g + 1])
+            if a == b:
+                continue
+            ids, e = cand[a:b], eff[a:b]
             order = np.lexsort((self._rank[ids], -e))
             ids, e = ids[order][:quota], e[order][:quota]
             lo, hi = int(offsets[g]), int(offsets[g + 1])
@@ -348,15 +387,19 @@ class DynamicCachePolicy:
             if len(resident) == 0:
                 continue
             r_eff = self.score[lo:hi][resident] + self.counts[lo:hi][resident]
-            # coldest residents first; static rank breaks ties (higher
-            # rank value = colder at layout time, evicted first)
-            r_order = np.lexsort((-self._rank[lo:hi][resident], r_eff))
+            take = min(len(ids), len(resident))
+            # the `take` coldest residents, coldest first; static rank
+            # breaks ties (higher rank value = colder at layout time,
+            # evicted first)
+            r_tie = -self._rank[lo:hi][resident]
+            r_order = _lex_sorted(
+                np.flatnonzero(_head_mask(r_eff, r_tie, take)), r_eff, r_tie
+            )
             victims = resident[r_order]
-            take = min(len(ids), len(victims))
             # admit only while the candidate beats its victim by the
             # hysteresis margin
             viol = np.flatnonzero(
-                e[:take] <= r_eff[r_order[:take]] + self.config.hysteresis
+                e[:take] <= r_eff[r_order] + self.config.hysteresis
             )
             if len(viol):
                 take = int(viol[0])

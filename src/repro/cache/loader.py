@@ -38,6 +38,17 @@ from repro.utils.errors import ConfigError
 ID_BYTES = 8
 
 
+def dedup(req) -> np.ndarray:
+    """Sorted unique ids of one request (the §3.2 dedup), always a new
+    array object.  A strictly increasing request — CSP's ``all_nodes``
+    always is — comes back as a view after one O(n) check instead of a
+    second ``np.unique``."""
+    req = np.asarray(req, dtype=np.int64)
+    if len(req) < 2 or bool(np.all(req[1:] > req[:-1])):
+        return req.view()
+    return np.unique(req)
+
+
 class FeatureLoader:
     """GPU-side loader over a cache store.
 
@@ -112,20 +123,22 @@ class FeatureLoader:
             plan = cache.lookup(key)
             if plan is not None:
                 return plan
-        nodes = np.unique(req)  # dedup (§3.2)
-        loc = self.store.locate(nodes, g)
-        n_local = loc.count(Placement.LOCAL)
-        n_remote = loc.count(Placement.REMOTE)
-        n_cold = loc.count(Placement.COLD)
-        if n_remote:
-            holders = loc.holder[loc.placement == Placement.REMOTE]
-            remote_row = np.bincount(holders, minlength=k)
-        else:
-            remote_row = np.zeros(k, dtype=np.int64)
-        miss_mask = (
-            loc.placement != Placement.LOCAL if self.codec is not None
-            else None
-        )
+        nodes = dedup(req)
+        # plans are shared (cache, dynamic feed): never writable; dedup
+        # returns a view, so the caller's own array stays writable
+        nodes.flags.writeable = False
+        n_local = n_remote = n_cold = 0
+        remote_row = np.zeros(k, dtype=np.int64)
+        miss_mask = np.zeros(0, dtype=bool) if self.codec is not None else None
+        if len(nodes):  # an idle GPU's empty request has nothing to locate
+            loc = self.store.locate(nodes, g)
+            n_local, n_remote, n_cold = np.bincount(
+                loc.placement, minlength=len(Placement)).tolist()
+            if n_remote:
+                holders = loc.holder[loc.placement == Placement.REMOTE]
+                remote_row = np.bincount(holders, minlength=k)
+            if self.codec is not None:
+                miss_mask = loc.placement != Placement.LOCAL
         plan = FeaturePlan(nodes, n_local, n_remote, n_cold, remote_row,
                            miss_mask)
         if cache is not None:
@@ -133,8 +146,8 @@ class FeatureLoader:
         return plan
 
     def load(
-        self, requests_per_gpu: list[np.ndarray]
-    ) -> tuple[list[np.ndarray], OpTrace, dict]:
+        self, requests_per_gpu: list[np.ndarray], gather: bool = True
+    ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
         """Fetch features for each GPU's request list.
 
         Returns per-GPU feature matrices (functionally exact), the op
@@ -142,13 +155,18 @@ class FeatureLoader:
         ``{"local": n, "remote": n, "cold": n}`` plus the payload bytes
         each path served (``*_bytes`` keys; the obs layer exports them
         as cache counters).
+
+        ``gather=False`` is the cost-only path: no row is copied and
+        the matrices come back as ``None``.  Trace, stats and the
+        dynamic-policy feed derive from the plan alone, so they are
+        identical either way.
         """
         self._check_placement()
         k = self.store.num_gpus
         if len(requests_per_gpu) != k:
             raise ConfigError("need one request array per GPU")
 
-        out: list[np.ndarray] = []
+        out: list[np.ndarray] | None = [] if gather else None
         local_bytes = np.zeros(k, dtype=np.float64)
         decode_bytes = np.zeros(k, dtype=np.float64)
         cold_items = np.zeros(k, dtype=np.float64)
@@ -161,15 +179,18 @@ class FeatureLoader:
             req = np.ascontiguousarray(np.asarray(req, dtype=np.int64))
             plan = self._plan(g, req, k)
             plans.append(plan)
-            rows = self.features[plan.nodes]
-            if codec is not None and plan.miss_mask is not None \
-                    and plan.miss_mask.any():
-                # fancy indexing above copied, so in-place is safe
-                rows[plan.miss_mask] = codec.apply(rows[plan.miss_mask])
+            decode = (codec is not None and plan.miss_mask is not None
+                      and bool(plan.miss_mask.any()))
+            if decode:
                 decode_bytes[g] = (
                     (plan.n_remote + plan.n_cold) * self.row_bytes
                 )
-            out.append(rows)
+            if gather:
+                rows = self.features[plan.nodes]
+                if decode:
+                    # fancy indexing above copied, so in-place is safe
+                    rows[plan.miss_mask] = codec.apply(rows[plan.miss_mask])
+                out.append(rows)
             stats["local"] += plan.n_local
             stats["remote"] += plan.n_remote
             stats["cold"] += plan.n_cold
@@ -243,16 +264,19 @@ class HostGatherLoader:
         self.row_bytes = features.shape[1] * features.dtype.itemsize
 
     def load(
-        self, requests_per_gpu: list[np.ndarray]
-    ) -> tuple[list[np.ndarray], OpTrace, dict]:
-        """Host-gather + bulk-copy features for each GPU's request list."""
+        self, requests_per_gpu: list[np.ndarray], gather: bool = True
+    ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
+        """Host-gather + bulk-copy features for each GPU's request list
+        (``gather=False``: price only, matrices ``None``)."""
         if len(requests_per_gpu) != self.num_gpus:
             raise ConfigError("need one request array per GPU")
-        out, nbytes = [], np.zeros(self.num_gpus, dtype=np.float64)
+        out = [] if gather else None
+        nbytes = np.zeros(self.num_gpus, dtype=np.float64)
         total = 0
         for g, req in enumerate(requests_per_gpu):
-            nodes = np.unique(np.asarray(req, dtype=np.int64))
-            out.append(self.features[nodes])
+            nodes = dedup(req)
+            if gather:
+                out.append(self.features[nodes])
             nbytes[g] = len(nodes) * self.row_bytes
             total += len(nodes)
         trace = OpTrace()

@@ -48,7 +48,7 @@ class FeaturePlan:
     skeleton).
     """
 
-    nodes: np.ndarray  # deduplicated, sorted request ids
+    nodes: np.ndarray  # deduplicated, sorted request ids (read-only)
     n_local: int
     n_remote: int
     n_cold: int

@@ -117,8 +117,8 @@ class Quiver(TrainingSystem):
                            label="cudaMalloc-sample"))
         return samples, trace
 
-    def _load(self, requests):
-        feats, trace, stats = super()._load(requests)
+    def _load(self, requests, gather=True):
+        feats, trace, stats = super()._load(requests, gather=gather)
         trace.add(Overhead(self._alloc_stall(self.LOAD_ALLOCS),
                            label="cudaMalloc-load"))
         return feats, trace, stats

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.cache.loader import ID_BYTES, dedup
 from repro.cache.store import Placement
 from repro.core.config import RunConfig
 from repro.core.system import DSP
@@ -38,8 +39,6 @@ from repro.sampling.ops import (
     UVAGather,
 )
 from repro.utils.errors import ConfigError
-
-ID_BYTES = 8
 
 
 class MultiMachineDSP(DSP):
@@ -90,10 +89,10 @@ class MultiMachineDSP(DSP):
         samples, trace = super()._sample(seeds_per_gpu)
         return samples, trace
 
-    def _load(self, requests):
+    def _load(self, requests, gather=True):
         """Hot path as in DSP; cold path split local-shard (UVA) vs
         remote-shard (network round trip to the shard's machine)."""
-        feats, trace, stats = super()._load(requests)
+        feats, trace, stats = super()._load(requests, gather=gather)
         if self.num_machines == 1:
             return feats, trace, stats
         M = self.num_machines
@@ -102,7 +101,7 @@ class MultiMachineDSP(DSP):
         local_items = np.zeros(self.k)
         remote_rows = 0
         for g, nodes in enumerate(requests):
-            nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+            nodes = dedup(nodes)
             loc = self.loader.store.locate(nodes, g)
             cold = nodes[loc.placement == Placement.COLD]
             mine = self._shard[cold] == 0  # this trace follows machine 0

@@ -173,8 +173,11 @@ class TrainingSystem:
         samples, trace, _ = self.sampler.sample(seeds_per_gpu, self.csp_config)
         return samples, self._lower(trace)
 
-    def _load(self, requests) -> tuple[list[np.ndarray], OpTrace, dict]:
-        feats, trace, stats = self.loader.load(requests)
+    def _load(
+        self, requests, gather: bool = True
+    ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
+        """Load (``gather=False``: only price) the batch's features."""
+        feats, trace, stats = self.loader.load(requests, gather=gather)
         return feats, self._lower(trace), stats
 
     def _batch_overhead(self) -> float:
@@ -200,14 +203,15 @@ class TrainingSystem:
         ]
 
     def _train_batch(
-        self, samples: list[MiniBatchSample], feats: list[np.ndarray],
-        functional: bool,
+        self, samples: list[MiniBatchSample],
+        feats: list[np.ndarray] | None, functional: bool,
     ) -> tuple[OpTrace, float, float]:
-        """Run (or price) one BSP step; returns (trace, loss, accuracy)."""
+        """Run (or price) one BSP step; returns (trace, loss, accuracy).
+        ``feats`` is only read when ``functional``."""
         flops = np.zeros(self.k)
         losses, accs, weights = [], [], []
         total_seeds = sum(len(s.seeds) for s in samples)
-        for g, (sample, x) in enumerate(zip(samples, feats)):
+        for g, sample in enumerate(samples):
             # forward + backward ~ 3x forward FLOPs
             flops[g] = (
                 3.0 * self.models[g].forward_flops(sample)
@@ -216,7 +220,7 @@ class TrainingSystem:
             if not functional or len(sample.seeds) == 0:
                 continue
             labels = self.data.labels[sample.seeds]
-            out = self.models[g](sample, Tensor(x))
+            out = self.models[g](sample, Tensor(feats[g]))
             loss = cross_entropy(out, labels)
             # BSP exactness: scale so the allreduce *mean* equals the
             # global-batch gradient even when per-GPU batches differ
@@ -284,7 +288,7 @@ class TrainingSystem:
             per_gpu = self._assign_seeds(seeds)
             samples, s_trace = self._sample(per_gpu)
             requests = [s.all_nodes for s in samples]
-            feats, l_trace, stats = self._load(requests)
+            feats, l_trace, stats = self._load(requests, gather=functional)
             t_trace, loss, acc = self._train_batch(samples, feats, functional)
             self.batches_seen += 1
             losses.append(loss)

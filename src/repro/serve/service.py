@@ -354,14 +354,16 @@ class GNNServer:
                 if failover is not None:
                     # lost cache peer: serve the batch over the UVA
                     # cold path instead of the dead shard
-                    feats, trace, stats = failover.load(reqs)
+                    feats, trace, stats = failover.load(
+                        reqs, gather=cfg.functional)
                     batch.degraded = True
                     if tracer is not None:
                         tracer.instant(track, "degraded-load", sim.now,
                                        cat="chaos", batch=batch.bid,
                                        lost=sorted(lost))
                 else:
-                    feats, trace, stats = system._load(reqs)
+                    feats, trace, stats = system._load(
+                        reqs, gather=cfg.functional)
                 for cost in system.engine.trace_cost(trace):
                     yield from run_op(g, cost, "load", batch.bid, track)
                 if tracer is not None and plan_cache is not None:

@@ -7,10 +7,17 @@ between sweep points, and — the regression satellite — plan-cache
 invalidation on every placement-changing batch.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.cache.dynamic import DynamicCacheConfig, DynamicCachePolicy
+from repro.cache.dynamic import (
+    DynamicCacheConfig,
+    DynamicCachePolicy,
+    _head_mask,
+    _split_top,
+)
 from repro.cache.loader import FeatureLoader
 from repro.cache.store import PartitionedCache, ReplicatedCache
 from repro.utils import ConfigError
@@ -294,3 +301,89 @@ class TestDeterminism:
         )
         np.testing.assert_array_equal(pols[0].score, pols[1].score)
         assert pols[0].stats() == pols[1].stats()
+
+
+class TestExactSelection:
+    """The partition-based selection equals the full-patch lexsort it
+    replaced: same set, same order, same tie-breaks."""
+
+    @staticmethod
+    def _scores(rng, n, kind):
+        if kind == "equal":
+            return np.full(n, 0.5)
+        if kind == "ties":  # few distinct values: ties everywhere
+            return rng.integers(0, 3, size=n).astype(np.float64)
+        return rng.normal(size=n)
+
+    @pytest.mark.parametrize("kind", ["equal", "ties", "distinct"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_split_matches_full_lexsort(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        s = self._scores(rng, n, kind)
+        rank = rng.permutation(n)
+        cached = rng.random(n) < 0.4
+        for k in (0, 1, n - 1, n, n + 3, int(rng.integers(0, n + 1))):
+            order = np.lexsort((rank, -s))
+            want, rest = order[:max(k, 0)], order[max(k, 0):]
+            challengers, victims = _split_top(s, rank, k, cached)
+            np.testing.assert_array_equal(challengers, want[~cached[want]])
+            np.testing.assert_array_equal(victims, rest[cached[rest]][::-1])
+
+    @pytest.mark.parametrize("kind", ["equal", "ties", "distinct"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_head_mask_matches_full_lexsort(self, kind, seed):
+        """Also with ties in the tie key itself (stable: index order)."""
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(1, 40))
+        key = self._scores(rng, n, kind)
+        tie = rng.integers(0, 4, size=n)
+        for k in (0, 1, n - 1, n, n + 3, int(rng.integers(0, n + 1))):
+            expect = np.zeros(n, dtype=bool)
+            expect[np.lexsort((tie, key))[:max(k, 0)]] = True
+            np.testing.assert_array_equal(_head_mask(key, tie, k), expect)
+
+
+def _placement_digest(prior: float, ewma: float, max_moves) -> str:
+    """sha256 chain of ``store.cached`` after every observe() on a
+    seeded Zipf stream whose hot set drifts every 12 loads."""
+    n, k, budget = 600, 3, 40
+    rng = np.random.default_rng(2024)
+    offsets = np.linspace(0, n, k + 1).astype(np.int64)
+    store = PartitionedCache(offsets, rng.permutation(n), budget_nodes=budget)
+    policy = DynamicCachePolicy(store, DynamicCacheConfig(
+        window=2, prefetch_quota=8, hysteresis=0.0, prior=prior, ewma=ewma,
+        max_moves=max_moves,
+    ))
+    weights = 1.0 / np.arange(1, n + 1) ** 1.1
+    weights /= weights.sum()
+    hot = rng.permutation(n)
+    digest = b""
+    for step in range(48):
+        if step % 12 == 0:
+            hot = np.roll(hot, n // 7)
+        reqs = [np.unique(hot[rng.choice(n, size=60, p=weights)])
+                for _ in range(k)]
+        policy.observe(reqs)
+        digest = hashlib.sha256(digest + store.cached.tobytes()).digest()
+    assert policy.promotions > 0 and policy.prefetches > 0
+    return digest.hex()
+
+
+#: placement trajectories pinned from the full-patch-lexsort policy
+PLACEMENT_DIGESTS = {
+    "prior":
+        "fb3b026b01ab625de1f7ff393dd7387ede0518e1fcf65a90e9874852253d683d",
+    "no-prior-ties":
+        "e26dbc949ebfef831c05aa31f833ee9759c3c917c1a9f2680efb9a140b0785d2",
+}
+
+
+class TestPlacementTrajectory:
+    @pytest.mark.parametrize("name,prior,ewma,max_moves", [
+        ("prior", 1.0, 0.5, None),
+        ("no-prior-ties", 0.0, 1.0, 5),
+    ])
+    def test_trajectory_pinned(self, name, prior, ewma, max_moves):
+        assert _placement_digest(prior, ewma, max_moves) == \
+            PLACEMENT_DIGESTS[name]

@@ -10,6 +10,9 @@ from repro.cache import (
     PartitionedCache,
     ReplicatedCache,
 )
+from repro.cache.dynamic import DynamicCacheConfig, DynamicCachePolicy
+from repro.core.cost import CostEngine
+from repro.hw import Cluster
 from repro.sampling.ops import (
     AllToAll,
     HostWork,
@@ -132,3 +135,174 @@ class TestHostGatherLoader:
         loader = HostGatherLoader(features, num_gpus=1)
         _, trace, _ = loader.load([np.array([0])])
         assert trace.ops[0].kind == "gather"
+
+
+def _priced(engine, trace) -> list:
+    """A trace as the cost engine prices it, in comparable form."""
+    return [
+        (c.label, c.per_gpu.tolist(), c.stage, c.threads, c.collective,
+         c.host, c.nvlink_bytes, c.pcie_bytes, c.uva_payload,
+         c.network_bytes)
+        for c in engine.trace_cost(trace)
+    ]
+
+
+class TestPlanOnlyLoad:
+    """``gather=False`` copies no rows but is otherwise the same load:
+    trace, stats, running totals and dynamic placement all derive from
+    the plan."""
+
+    N, K = 96, 3
+
+    def _loader(self, codec, dynamic, plan_cache):
+        rng = np.random.default_rng(5)
+        features = rng.normal(size=(self.N, 8)).astype(np.float32)
+        offsets = np.linspace(0, self.N, self.K + 1).astype(np.int64)
+        store = PartitionedCache(offsets, rng.permutation(self.N),
+                                 budget_nodes=6)
+        policy = None
+        if dynamic:
+            policy = DynamicCachePolicy(store, DynamicCacheConfig(
+                window=2, prefetch_quota=4, hysteresis=0.0))
+        return FeatureLoader(features, store, plan_cache=plan_cache,
+                             codec=codec, dynamic=policy)
+
+    def _stream(self):
+        rng = np.random.default_rng(9)
+        hot = rng.choice(self.N, size=20, replace=False)
+        for step in range(10):
+            reqs = []
+            for g in range(self.K):
+                raw = np.concatenate([rng.choice(hot, size=8),
+                                      rng.integers(0, self.N, size=4)])
+                # mostly CSP-style sorted unique, sometimes raw, and
+                # now and then an idle GPU
+                if (step + g) % 5 == 4:
+                    raw = raw[:0]
+                reqs.append(raw if (step + g) % 3 == 0 else np.unique(raw))
+            yield reqs
+            yield reqs  # a repeat block: plan-cache hits
+
+    @pytest.mark.parametrize("plan_cache", [True, False])
+    @pytest.mark.parametrize("dynamic", [False, True])
+    @pytest.mark.parametrize("codec", ["none", "fp16", "int8"])
+    def test_same_trace_and_stats(self, codec, dynamic, plan_cache):
+        engine = CostEngine(Cluster.dgx1(self.K))
+        full = self._loader(codec, dynamic, plan_cache)
+        plan_only = self._loader(codec, dynamic, plan_cache)
+        for reqs in self._stream():
+            feats_a, trace_a, stats_a = full.load(reqs)
+            feats_b, trace_b, stats_b = plan_only.load(reqs, gather=False)
+            assert feats_b is None
+            assert len(feats_a) == self.K
+            assert _priced(engine, trace_a) == _priced(engine, trace_b)
+            assert stats_a == stats_b
+        assert full.totals == plan_only.totals
+        np.testing.assert_array_equal(full.store.cached,
+                                      plan_only.store.cached)
+        if dynamic:
+            assert full.dynamic.stats() == plan_only.dynamic.stats()
+            assert full.dynamic.promotions > 0
+
+    def test_host_gather_plan_only(self):
+        features = np.arange(20, dtype=np.float32).reshape(10, 2)
+        loader = HostGatherLoader(features, num_gpus=2)
+        reqs = [np.array([3, 1, 3]), np.array([5])]
+        out, trace_a, stats_a = loader.load(reqs)
+        none, trace_b, stats_b = loader.load(reqs, gather=False)
+        assert none is None
+        assert np.array_equal(out[0], features[[1, 3]])
+        engine = CostEngine(Cluster.dgx1(2))
+        assert _priced(engine, trace_a) == _priced(engine, trace_b)
+        assert stats_a == stats_b
+
+
+class TestPlanDedup:
+    @pytest.mark.parametrize("req", [
+        [9, 2, 5, 2],          # shuffled with a duplicate
+        [2, 2, 5, 9],          # sorted, not unique
+        [9, 5, 2],             # strictly decreasing
+        [1, 4, 4],             # trailing duplicate
+    ])
+    def test_unsorted_or_duplicated_goes_through_unique(self, setting, req):
+        features, store = setting
+        req = np.array(req, dtype=np.int64)
+        for plan_cache in (True, False):
+            loader = FeatureLoader(features, store, plan_cache=plan_cache)
+            plan = loader._plan(0, req, 3)
+            np.testing.assert_array_equal(plan.nodes, np.unique(req))
+
+    def test_sorted_unique_request_passes_through(self, setting):
+        features, store = setting
+        req = np.array([0, 3, 4, 11], dtype=np.int64)
+        plan = FeatureLoader(features, store)._plan(0, req, 3)
+        np.testing.assert_array_equal(plan.nodes, req)
+
+    @pytest.mark.parametrize("req", [[0, 3, 4, 11], [11, 0, 4, 4]])
+    def test_cached_plan_nodes_read_only(self, setting, req):
+        """A cached plan cannot be written through, and planning never
+        flips the caller's own array to read-only."""
+        features, store = setting
+        loader = FeatureLoader(features, store)
+        req = np.array(req, dtype=np.int64)
+        loader.load([req, req, req])
+        plan = loader._plan(0, req, 3)  # served from the plan cache
+        assert loader.plan_cache.hits >= 1
+        assert not plan.nodes.flags.writeable
+        with pytest.raises(ValueError):
+            plan.nodes[0] = 1
+        assert req.flags.writeable
+        req[0] = req[0]  # still writable in place
+
+
+#: sha256 of the per-request predictions of a functional serve run,
+#: pinned from the loader that gathered rows on every load
+SERVE_PREDICTION_DIGESTS = {
+    "none":
+        "71461dae57d8de2a337bf4ce784afed5b682b87e7e5d2fab7a7874be7b6674b1",
+    "int8":
+        "79b9acf3bbcdc353e433b8232809d3511f22abe8a6342f3929b0e0ec8b26e687",
+}
+
+
+def _serve_predictions(compress: str, monkeypatch) -> tuple[list, float]:
+    import repro.serve.sweep as sweep
+    from repro.core import RunConfig, build_system
+    from repro.serve import (
+        GNNServer,
+        ServeConfig,
+        WorkloadConfig,
+        make_workload,
+        serve_once,
+    )
+
+    servers = []
+
+    class Recording(GNNServer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            servers.append(self)
+
+    system = build_system("DSP", RunConfig(
+        dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
+        fanout=(5, 3), seed=3, dynamic_cache=True, feature_cache_bytes=3200,
+        compress=compress,
+    ))
+    system.run_epoch()  # a trained model: predictions follow the rows
+    workload = make_workload(WorkloadConfig(num_requests=64, seed=7),
+                             np.arange(system.base_dataset.num_nodes))
+    monkeypatch.setattr(sweep, "GNNServer", Recording)
+    report = serve_once(system, workload, 2000.0, ServeConfig(functional=True))
+    (server,) = servers
+    return [r.prediction for r in server.last_records], report.accuracy
+
+
+@pytest.mark.parametrize("compress", sorted(SERVE_PREDICTION_DIGESTS))
+def test_functional_serve_predictions_pinned(compress, monkeypatch):
+    import hashlib
+
+    preds, accuracy = _serve_predictions(compress, monkeypatch)
+    assert any(p is not None for p in preds)
+    assert 0.0 <= accuracy <= 1.0
+    digest = hashlib.sha256(repr(preds).encode()).hexdigest()
+    assert digest == SERVE_PREDICTION_DIGESTS[compress]

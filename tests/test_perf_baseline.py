@@ -1,9 +1,14 @@
 """Tests for the perf baseline regression gate and the fake clock."""
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.bench.perf import _make_clock, diff_against_baseline
+from repro.bench.perf import BENCH_NAMES, _make_clock, diff_against_baseline
 from repro.utils import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def payload(quick=False, **speedups):
@@ -82,3 +87,14 @@ class TestFakeClock:
     def test_unknown_clock_rejected(self):
         with pytest.raises(ConfigError):
             _make_clock("sundial")
+
+
+@pytest.mark.parametrize("path", [
+    "BENCH_perf.json",
+    "benchmarks/perf/BENCH_perf_quick.json",
+])
+def test_committed_baseline_covers_every_bench(path):
+    """Both committed perf records gate exactly the registered benches:
+    a bench missing from one is silently ungated there."""
+    doc = json.loads((ROOT / path).read_text())
+    assert sorted(doc["benchmarks"]) == sorted(BENCH_NAMES)
