@@ -11,7 +11,7 @@ import pytest
 from repro.bench import fmt_table, quick_mode
 from repro.core import RunConfig
 from repro.core.multimachine import MultiMachineDSP
-from repro.hw.devices import NetworkSpec
+from repro.hw.network import NICSpec
 from repro.utils import GB
 
 
@@ -19,7 +19,7 @@ def _run(dataset: str, machines: int, cache_bytes=None, bandwidth=12.5 * GB):
     cfg = RunConfig(dataset=dataset, num_gpus=4,
                     feature_cache_bytes=cache_bytes)
     mm = MultiMachineDSP(cfg, num_machines=machines,
-                         network=NetworkSpec(bandwidth=bandwidth))
+                         network=NICSpec(bandwidth=bandwidth))
     return mm.run_epoch(max_batches=4, functional=False)
 
 

@@ -11,7 +11,7 @@ counts and network fabrics to show when scale-out pays.
 
 from repro.core import RunConfig
 from repro.core.multimachine import MultiMachineDSP
-from repro.hw.devices import NetworkSpec
+from repro.hw.network import NICSpec
 from repro.utils import GB, fmt_bytes, fmt_time
 
 
@@ -34,7 +34,7 @@ def main() -> None:
         mm = MultiMachineDSP(
             cfg.with_(feature_cache_bytes=0.0),
             num_machines=2,
-            network=NetworkSpec(bandwidth=bw),
+            network=NICSpec(bandwidth=bw),
         )
         m = mm.run_epoch(max_batches=4, functional=False)
         print(f"  {label:>8}: epoch {fmt_time(m.epoch_time):>10} "

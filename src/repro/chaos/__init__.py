@@ -48,7 +48,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import BYTES_RTOL, InvariantChecker
-from repro.chaos.runtime import ChaosConfig, ChaosRuntime
+from repro.chaos.runtime import ChaosRuntime
 
 #: names resolved lazily from :mod:`repro.chaos.scenarios` (it imports
 #: repro.core, which this package must not pull in eagerly)
@@ -74,7 +74,6 @@ __all__ = [
     "EVENT_KINDS",
     "FAULT_STAGES",
     "CachePeerLoss",
-    "ChaosConfig",
     "ChaosRuntime",
     "CollectiveDelay",
     "CollectiveDrop",

@@ -7,64 +7,35 @@
 checker accumulates per-run state, so build a fresh runtime for every
 simulated run.
 
-When the plan is fault-free the runtime sets ``injector=None`` and
-(unless a timeout is forced) arms no collective watchdog, so the
-pristine replay path runs unchanged — the bit-identity guarantee the
-property tests assert.
+Every runtime arms a strict :class:`InvariantChecker` (a violation
+raises) and leaves the collective watchdog at the pipeline's own
+defaults: a timeout auto-scaled to the costliest batch, 3 retries, no
+backoff.  When the plan is fault-free the runtime sets
+``injector=None``, so the pristine replay path runs unchanged — the
+bit-identity guarantee the property tests assert.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.chaos.faults import FaultPlan
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import InvariantChecker
 
 
-@dataclass(frozen=True)
-class ChaosConfig:
-    """Knobs of the fault-response side.
-
-    ``collective_timeout=None`` lets the pipeline auto-scale the
-    watchdog timeout to its costliest batch; ``check_invariants``
-    toggles the always-on invariant oracle, and ``strict_invariants``
-    chooses raise-on-violation vs collect-for-inspection.
-    """
-
-    collective_timeout: float | None = None
-    max_retries: int = 3
-    backoff: float | None = None
-    check_invariants: bool = True
-    strict_invariants: bool = True
-
-
 class ChaosRuntime:
     """One run's worth of fault injection + invariant auditing."""
 
-    def __init__(self, plan: FaultPlan | None = None,
-                 config: ChaosConfig | None = None, tracer=None):
+    def __init__(self, plan: FaultPlan | None = None, tracer=None):
         self.plan = plan if plan is not None else FaultPlan()
-        self.config = config if config is not None else ChaosConfig()
         self.injector = (
             None if self.plan.fault_free
             else FaultInjector(self.plan, tracer=tracer)
         )
-        self.invariants = (
-            InvariantChecker(strict=self.config.strict_invariants,
-                             tracer=tracer)
-            if self.config.check_invariants else None
-        )
+        self.invariants = InvariantChecker(tracer=tracer)
 
     def pipeline_kwargs(self) -> dict:
         """Keyword arguments for :class:`~repro.core.pipeline.PipelineRunner`."""
-        return {
-            "injector": self.injector,
-            "invariants": self.invariants,
-            "collective_timeout": self.config.collective_timeout,
-            "max_retries": self.config.max_retries,
-            "backoff": self.config.backoff,
-        }
+        return {"injector": self.injector, "invariants": self.invariants}
 
 
-__all__ = ["ChaosConfig", "ChaosRuntime"]
+__all__ = ["ChaosRuntime"]

@@ -44,7 +44,7 @@ from repro.chaos.faults import (
 )
 from repro.chaos.injector import FaultInjector
 from repro.chaos.invariants import InvariantChecker
-from repro.chaos.runtime import ChaosConfig, ChaosRuntime
+from repro.chaos.runtime import ChaosRuntime
 from repro.utils.errors import ConfigError, InvariantViolation, PipelineStall
 
 
@@ -153,7 +153,6 @@ def run_scenario(
     system_name: str,
     scenario: str,
     config,
-    chaos_config: ChaosConfig | None = None,
     max_batches: int | None = 4,
     requests: int = 64,
     qps: float = 2000.0,
@@ -169,19 +168,17 @@ def run_scenario(
     """
     sc = _get(scenario)
     if sc.mode == "serve":
-        return _run_serve_scenario(system_name, sc, config, chaos_config,
-                                   requests, qps, controller=controller)
-    return _run_train_scenario(system_name, sc, config, chaos_config,
-                               max_batches)
+        return _run_serve_scenario(system_name, sc, config, requests, qps,
+                                   controller=controller)
+    return _run_train_scenario(system_name, sc, config, max_batches)
 
 
 def _run_train_scenario(system_name: str, sc: Scenario, config,
-                        chaos_config: ChaosConfig | None,
                         max_batches: int | None) -> dict:
     from repro.core import build_system
 
     baseline_sys = build_system(system_name, config)
-    base_chaos = ChaosRuntime(FaultPlan(), chaos_config)
+    base_chaos = ChaosRuntime(FaultPlan())
     baseline_sys.run_epoch(max_batches=max_batches, functional=False,
                            chaos=base_chaos)
     base = baseline_sys.last_pipeline_result
@@ -191,7 +188,7 @@ def _run_train_scenario(system_name: str, sc: Scenario, config,
     from repro.metrics import MetricsRegistry
 
     system = build_system(system_name, config)
-    runtime = ChaosRuntime(plan, chaos_config)
+    runtime = ChaosRuntime(plan)
     # ~20 windows over the fault-free horizon keeps per-window state
     # bounded however long (or short) the epoch simulates to
     registry = MetricsRegistry(window_s=max(base.epoch_time / 20.0, 1e-6))
@@ -232,7 +229,7 @@ def _run_train_scenario(system_name: str, sc: Scenario, config,
 
 
 def _serve_pass(system_name: str, config, serve_cfg, workload, qps: float,
-                cc: ChaosConfig, plan: FaultPlan):
+                plan: FaultPlan):
     """One serving run on a fresh system with windowed metrics
     attached; returns ``(report, invariants, slo_summary, registry)``.
 
@@ -245,21 +242,18 @@ def _serve_pass(system_name: str, config, serve_cfg, workload, qps: float,
 
     system = build_system(system_name, config)
     registry = MetricsRegistry(window_s=serve_cfg.slo_s)
-    inv = (InvariantChecker(strict=cc.strict_invariants, metrics=registry)
-           if cc.check_invariants else None)
+    inv = InvariantChecker(metrics=registry)
     injector = None if plan.fault_free else FaultInjector(plan)
     report = GNNServer(system, serve_cfg, metrics=registry,
                        injector=injector,
                        invariants=inv).run(workload.requests(qps),
                                            offered_qps=qps)
-    if inv is not None:
-        inv.finalize()
+    inv.finalize()
     slo = SLOMonitor(registry, serve_cfg.slo_s).summary()
     return report, inv, slo, registry
 
 
 def _run_serve_scenario(system_name: str, sc: Scenario, config,
-                        chaos_config: ChaosConfig | None,
                         requests: int, qps: float,
                         controller=None) -> dict:
     import numpy as np
@@ -267,7 +261,6 @@ def _run_serve_scenario(system_name: str, sc: Scenario, config,
     from repro.core import build_system
     from repro.serve import ServeConfig, WorkloadConfig, make_workload
 
-    cc = chaos_config if chaos_config is not None else ChaosConfig()
     serve_cfg = ServeConfig()
     wl_cfg = WorkloadConfig(num_requests=requests, seed=config.seed)
     # one workload shared by both passes, in the dataset's original ids
@@ -276,14 +269,14 @@ def _run_serve_scenario(system_name: str, sc: Scenario, config,
     del probe
 
     base, base_inv, base_slo, _ = _serve_pass(
-        system_name, config, serve_cfg, workload, qps, cc, FaultPlan()
+        system_name, config, serve_cfg, workload, qps, FaultPlan()
     )
     plan = sc.build(base.elapsed, config.total_gpus)
     outcome = "completed"
     report, inv, slo, registry = None, None, None, None
     try:
         report, inv, slo, registry = _serve_pass(
-            system_name, config, serve_cfg, workload, qps, cc, plan
+            system_name, config, serve_cfg, workload, qps, plan
         )
     except InvariantViolation:
         outcome = "invariant-violation"
@@ -293,7 +286,7 @@ def _run_serve_scenario(system_name: str, sc: Scenario, config,
 
         ctl_cfg = _dc_replace(serve_cfg, controller=controller)
         ctl_report, _, ctl_slo, _ = _serve_pass(
-            system_name, config, ctl_cfg, workload, qps, cc, plan
+            system_name, config, ctl_cfg, workload, qps, plan
         )
     out = {
         "system": system_name,
@@ -342,7 +335,6 @@ def resilience_report(
     systems,
     scenarios,
     config,
-    chaos_config: ChaosConfig | None = None,
     max_batches: int | None = 4,
     requests: int = 64,
     qps: float = 2000.0,
@@ -363,7 +355,6 @@ def resilience_report(
     for name in scenarios:
         _get(name)  # fail fast on typos, before any simulation runs
     options = {
-        "chaos_config": chaos_config,
         "max_batches": max_batches,
         "requests": requests,
         "qps": qps,

@@ -95,6 +95,50 @@ def _add_workload_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
+def _add_serve_args(p: argparse.ArgumentParser, arrival: str) -> None:
+    """The batcher and request-stream flags ``serve`` and ``control``
+    share; ``arrival`` is the command's default arrival process."""
+    p.add_argument("--requests", type=int, default=256,
+                   help="requests per sweep point or cell (default 256)")
+    p.add_argument("--slo-ms", type=float, default=5.0,
+                   help="p99 latency SLO in milliseconds (default 5)")
+    p.add_argument("--batch-max", type=int, default=16,
+                   help="dynamic batch size cap (default 16)")
+    p.add_argument("--batch-timeout-ms", type=float, default=1.0,
+                   help="dynamic batch max-wait in ms (default 1)")
+    p.add_argument("--queue-capacity", type=int, default=64,
+                   help="per-GPU admission queue bound (default 64)")
+    p.add_argument("--arrival", default=arrival,
+                   choices=["poisson", "bursty", "diurnal"])
+    p.add_argument("--skew", type=float, default=0.8,
+                   help="Zipf popularity exponent for seed nodes")
+    p.add_argument("--drift-phases", type=int, default=1,
+                   help="popularity-drift phases: the Zipf hot set "
+                        "permutes this many times over the request "
+                        "stream (default 1 = stationary)")
+
+
+def _add_workers_arg(p: argparse.ArgumentParser, task: str) -> None:
+    p.add_argument("--workers", type=int, default=1,
+                   help=f"worker processes, one task per {task} "
+                        "(default 1 = serial; results are bit-identical)")
+
+
+def _add_output_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--json", action="store_true")
+    p.add_argument("--out", metavar="PATH",
+                   help="write the JSON to PATH instead of stdout")
+
+
+def _fanout(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(f) for f in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"--fanout expects comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _config(args) -> RunConfig:
     return RunConfig(
         dataset=args.dataset,
@@ -104,7 +148,7 @@ def _config(args) -> RunConfig:
         model=args.model,
         hidden_dim=args.hidden,
         batch_size=args.batch_size,
-        fanout=tuple(int(f) for f in args.fanout.split(",")),
+        fanout=_fanout(args.fanout),
         lr=args.lr,
         dynamic_cache=args.dynamic_cache,
         cache_window=args.cache_window,
@@ -113,6 +157,40 @@ def _config(args) -> RunConfig:
         cache_bias=args.cache_bias,
         compress=args.compress,
         feature_cache_bytes=args.cache_bytes,
+        seed=args.seed,
+    )
+
+
+def _controller_config(args, max_pressure: int = 0):
+    from repro.control import ControllerConfig
+
+    return ControllerConfig(
+        interval_s=(args.control_interval_ms * 1e-3
+                    if args.control_interval_ms is not None else None),
+        max_pressure=max_pressure,
+    )
+
+
+def _serve_config(args, **extra):
+    from repro.serve import ServeConfig
+
+    return ServeConfig(
+        batch_max=args.batch_max,
+        batch_timeout_s=args.batch_timeout_ms * 1e-3,
+        queue_capacity=args.queue_capacity,
+        slo_s=args.slo_ms * 1e-3,
+        **extra,
+    )
+
+
+def _workload_config(args):
+    from repro.serve import WorkloadConfig
+
+    return WorkloadConfig(
+        num_requests=args.requests,
+        arrival=args.arrival,
+        skew=args.skew,
+        drift_phases=args.drift_phases,
         seed=args.seed,
     )
 
@@ -214,13 +292,7 @@ def cmd_serve(args) -> int:
     """``repro serve``: online serving sweep with SLO accounting."""
     import numpy as np
 
-    from repro.serve import (
-        ServeConfig,
-        WorkloadConfig,
-        make_workload,
-        max_sustainable_qps,
-        qps_sweep,
-    )
+    from repro.serve import make_workload, max_sustainable_qps, qps_sweep
 
     cfg = _config(args)
     try:
@@ -236,30 +308,17 @@ def cmd_serve(args) -> int:
         tenancy = TenancyConfig.uniform(args.tenants, seed=args.seed)
     controller = None
     if args.controller:
-        from repro.control import ControllerConfig
-
-        controller = ControllerConfig(
-            interval_s=(args.control_interval_ms * 1e-3
-                        if args.control_interval_ms is not None else None),
-            max_pressure=tenancy.max_priority() if tenancy else 0,
+        controller = _controller_config(
+            args, max_pressure=tenancy.max_priority() if tenancy else 0
         )
-    serve_cfg = ServeConfig(
-        batch_max=args.batch_max,
-        batch_timeout_s=args.batch_timeout_ms * 1e-3,
-        queue_capacity=args.queue_capacity,
-        slo_s=args.slo_ms * 1e-3,
+    serve_cfg = _serve_config(
+        args,
         functional=args.functional,
         check_invariants=args.invariants,
         controller=controller,
         tenancy=tenancy,
     )
-    wl_cfg = WorkloadConfig(
-        num_requests=args.requests,
-        arrival=args.arrival,
-        skew=args.skew,
-        drift_phases=args.drift_phases,
-        seed=args.seed,
-    )
+    wl_cfg = _workload_config(args)
     systems = [s for s in args.systems.split(",") if s]
     if args.scale_max > 1 and args.num_replicas != 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
@@ -486,14 +545,7 @@ def cmd_chaos(args) -> int:
         [s for s in args.scenarios.split(",") if s]
         if args.scenarios else sorted(SCENARIOS)
     )
-    controller = None
-    if args.controller:
-        from repro.control import ControllerConfig
-
-        controller = ControllerConfig(
-            interval_s=(args.control_interval_ms * 1e-3
-                        if args.control_interval_ms is not None else None),
-        )
+    controller = _controller_config(args) if args.controller else None
     payload = resilience_report(
         systems,
         scenarios,
@@ -524,41 +576,22 @@ def cmd_control(args) -> int:
     """
     from repro.control import (
         CORE_SCENARIOS,
-        ControllerConfig,
         control_matrix,
         format_control_matrix,
     )
-    from repro.serve import ServeConfig, WorkloadConfig
 
     cfg = _config(args)
     scenarios = ([s for s in args.scenarios.split(",") if s]
                  if args.scenarios else list(CORE_SCENARIOS))
-    controller = ControllerConfig(
-        interval_s=(args.control_interval_ms * 1e-3
-                    if args.control_interval_ms is not None else None),
-    )
-    serve_cfg = ServeConfig(
-        batch_max=args.batch_max,
-        batch_timeout_s=args.batch_timeout_ms * 1e-3,
-        queue_capacity=args.queue_capacity,
-        slo_s=args.slo_ms * 1e-3,
-    )
     label = args.arrival if args.drift_phases <= 1 else (
         f"{args.arrival}+drift{args.drift_phases}"
     )
-    wl_cfg = WorkloadConfig(
-        num_requests=args.requests,
-        arrival=args.arrival,
-        skew=args.skew,
-        drift_phases=args.drift_phases,
-        seed=args.seed,
-    )
     payload = control_matrix(
-        args.system, cfg, controller,
+        args.system, cfg, _controller_config(args),
         scenarios=scenarios,
-        workload_configs={label: wl_cfg},
+        workload_configs={label: _workload_config(args)},
         qps=args.qps,
-        serve_config=serve_cfg,
+        serve_config=_serve_config(args),
         workers=args.workers,
     )
     print(format_control_matrix(payload))
@@ -682,9 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--cost-only", action="store_true",
                    help="skip numpy training, keep cost accounting")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON metrics to PATH instead of stdout")
+    _add_output_args(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("compare", help="compare systems on one workload")
@@ -692,12 +723,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--systems", default="",
                    help="comma-separated subset (default: all five)")
     p.add_argument("--batches", type=int, default=6)
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, one task per system "
-                        "(default 1 = serial; results are bit-identical)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON metrics to PATH instead of stdout")
+    _add_workers_arg(p, "system")
+    _add_output_args(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser(
@@ -720,9 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_workload_args(p)
     p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
     p.add_argument("--epochs", type=int, default=3)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON metrics to PATH instead of stdout")
+    _add_output_args(p)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser(
@@ -733,24 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated systems to sweep (default DSP)")
     p.add_argument("--qps", default="2000,8000,32000,128000",
                    help="comma-separated offered loads to sweep")
-    p.add_argument("--requests", type=int, default=256,
-                   help="requests per sweep point (default 256)")
-    p.add_argument("--slo-ms", type=float, default=5.0,
-                   help="p99 latency SLO in milliseconds (default 5)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="dynamic batch size cap (default 16)")
-    p.add_argument("--batch-timeout-ms", type=float, default=1.0,
-                   help="dynamic batch max-wait in ms (default 1)")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-GPU admission queue bound (default 64)")
-    p.add_argument("--arrival", default="poisson",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--skew", type=float, default=0.8,
-                   help="Zipf popularity exponent for seed nodes")
-    p.add_argument("--drift-phases", type=int, default=1,
-                   help="popularity-drift phases: the Zipf hot set "
-                        "permutes this many times over the request "
-                        "stream (default 1 = stationary)")
+    _add_serve_args(p, arrival="poisson")
     p.add_argument("--cache-warmup", type=int, default=0,
                    help="seed the dynamic cache from the first N "
                         "workload requests before the sweep (needs "
@@ -786,9 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["random", "least-loaded", "affinity"],
                    help="request routing policy across replicas "
                         "(default affinity; see docs/cluster.md)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, one task per sweep point "
-                        "(default 1 = serial; results are bit-identical)")
+    _add_workers_arg(p, "sweep point")
     p.add_argument("--trace-base", metavar="PATH", default=None,
                    help="write one Chrome trace per sweep point, named "
                         "PATH-<system>-qps<Q>.json")
@@ -799,9 +805,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "the JSON (input for 'repro report')")
     p.add_argument("--metrics-window-ms", type=float, default=None,
                    help="metrics window width in ms (default: the SLO)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON report to PATH instead of stdout")
+    _add_output_args(p)
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
@@ -814,9 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "feature_load, epoch, serve_batch, sweep, "
                         "chaos_scenario, multinode_epoch, engine_core, "
                         "cache_dynamic, control_loop (default all)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, one task per benchmark "
-                        "(default 1 = serial)")
+    _add_workers_arg(p, "benchmark")
     p.add_argument("--baseline", metavar="PATH", default=None,
                    help="diff against a committed BENCH_perf.json; exit "
                         "nonzero on >tolerance speedup regression")
@@ -843,10 +845,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="requests per serving scenario (default 64)")
     p.add_argument("--qps", type=float, default=2000.0,
                    help="offered load for serving scenarios (default 2000)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, one task per (system, "
-                        "scenario) cell (default 1 = serial; the report "
-                        "is bit-identical)")
+    _add_workers_arg(p, "(system, scenario) cell")
     p.add_argument("--controller", action="store_true",
                    help="run each serving scenario a third time with the "
                         "SLO-burn controller closing the loop and report "
@@ -854,9 +853,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control-interval-ms", type=float, default=None,
                    help="controller decision interval in ms "
                         "(default: 4 SLO windows)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON report to PATH instead of stdout")
+    _add_output_args(p)
     p.set_defaults(func=cmd_chaos)
 
     p = sub.add_parser(
@@ -867,36 +864,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenarios", default="",
                    help="comma-separated chaos scenarios (default: the "
                         "seven core recipes; 'none' = fault-free)")
-    p.add_argument("--requests", type=int, default=256,
-                   help="requests per cell (default 256)")
     p.add_argument("--qps", type=float, default=3000.0,
                    help="offered load per cell (default 3000)")
-    p.add_argument("--slo-ms", type=float, default=5.0,
-                   help="p99 latency SLO in milliseconds (default 5; "
-                        "pick one tight enough that the static config "
-                        "burns error budget, or every cell is 0 vs 0)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="static batch size cap the controller starts "
-                        "from (default 16)")
-    p.add_argument("--batch-timeout-ms", type=float, default=1.0,
-                   help="static batch max-wait in ms (default 1)")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-GPU admission queue bound (default 64)")
-    p.add_argument("--arrival", default="diurnal",
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--skew", type=float, default=0.8,
-                   help="Zipf popularity exponent for seed nodes")
-    p.add_argument("--drift-phases", type=int, default=1,
-                   help="popularity-drift phases (default 1 = stationary)")
+    _add_serve_args(p, arrival="diurnal")
     p.add_argument("--control-interval-ms", type=float, default=None,
                    help="controller decision interval in ms "
                         "(default: 4 SLO windows)")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes, one task per cell "
-                        "(default 1 = serial; the matrix is bit-identical)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON matrix to PATH instead of stdout")
+    _add_workers_arg(p, "cell")
+    _add_output_args(p)
     p.set_defaults(func=cmd_control)
 
     p = sub.add_parser(

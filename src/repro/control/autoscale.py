@@ -13,7 +13,7 @@ replica count is ``ceil(rate / target_qps_per_replica)`` clamped to the
 configured range, with threshold hysteresis and a cooldown so the
 scaler doesn't chatter.
 
-- **Scale-up is not free**: a new replica *warms* for ``warmup_s``
+- **Scale-up is not free**: a new replica *warms* for one interval
   before it joins the routable set — requests landing during warm-up
   still crowd onto the old replicas, which is exactly the cost a real
   autoscaler pays for reacting late.
@@ -39,33 +39,30 @@ from dataclasses import dataclass
 from repro.control.actions import ControlAction, actions_to_dicts
 from repro.utils.errors import ConfigError
 
-#: default control interval: the stream span cut into this many slices
+#: the control interval: the stream span cut into this many slices; a
+#: started replica warms for one interval before it becomes routable
 DEFAULT_INTERVALS = 24
+#: scale up only when the rate exceeds this fraction of current
+#: capacity; scale down only below this fraction of the shrunken
+#: capacity — the hysteresis gap between them prevents chatter
+UP_THRESHOLD = 0.9
+DOWN_THRESHOLD = 0.6
+#: EWMA weight of the newest interval's rate
+EWMA = 0.5
+#: intervals to hold after any scale action
+COOLDOWN_INTERVALS = 1
 
 
 @dataclass(frozen=True)
 class AutoscaleConfig:
-    """Replica-scaling policy knobs."""
+    """What a caller chooses about replica scaling; the policy itself
+    is the module constants above."""
 
     min_replicas: int = 1
     max_replicas: int = 4
     #: per-replica capacity the scaler sizes against (None = offered
     #: QPS / max_replicas, so the stream's peak engages the full range)
     target_qps_per_replica: float | None = None
-    #: control interval in seconds (None = stream span / 24)
-    interval_s: float | None = None
-    #: scale up only when the rate exceeds this fraction of current
-    #: capacity; scale down only below this fraction of the shrunken
-    #: capacity — the hysteresis gap between them prevents chatter
-    up_threshold: float = 0.9
-    down_threshold: float = 0.6
-    #: EWMA weight of the newest interval's rate
-    ewma: float = 0.5
-    #: warm-up delay before a started replica becomes routable
-    #: (None = one control interval)
-    warmup_s: float | None = None
-    #: intervals to hold after any scale action
-    cooldown_intervals: int = 1
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
@@ -75,16 +72,6 @@ class AutoscaleConfig:
         if (self.target_qps_per_replica is not None
                 and self.target_qps_per_replica <= 0):
             raise ConfigError("target_qps_per_replica must be positive")
-        if self.interval_s is not None and self.interval_s <= 0:
-            raise ConfigError("interval_s must be positive")
-        if not 0.0 < self.down_threshold < self.up_threshold <= 1.0:
-            raise ConfigError("need 0 < down_threshold < up_threshold <= 1")
-        if not 0.0 < self.ewma <= 1.0:
-            raise ConfigError("ewma must be in (0, 1]")
-        if self.warmup_s is not None and self.warmup_s < 0:
-            raise ConfigError("warmup_s must be non-negative")
-        if self.cooldown_intervals < 0:
-            raise ConfigError("cooldown_intervals must be non-negative")
 
     def split(self, system, requests, qps, check_invariants=False):
         """Split a request stream for :func:`repro.serve.serve_once`.
@@ -108,10 +95,10 @@ class _ScalerState:
     """The arrival-time control loop (pure, no simulator involved)."""
 
     def __init__(self, scale: AutoscaleConfig, interval_s: float,
-                 warmup_s: float, target: float, invariants=None):
+                 target: float, invariants=None):
         self.scale = scale
         self.interval_s = interval_s
-        self.warmup_s = warmup_s
+        self.warmup_s = interval_s
         self.target = target
         self.invariants = invariants
         self.active = list(range(scale.min_replicas))
@@ -142,11 +129,11 @@ class _ScalerState:
         rate = self.count / self.interval_s
         self.count = 0
         self.rate = (rate if self.rate is None
-                     else sc.ewma * rate + (1.0 - sc.ewma) * self.rate)
+                     else EWMA * rate + (1.0 - EWMA) * self.rate)
         total = len(self.active) + len(self.warming)
         if self.interval >= self.cooldown_until:
             if (total < sc.max_replicas
-                    and self.rate > sc.up_threshold * self._capacity(total)):
+                    and self.rate > UP_THRESHOLD * self._capacity(total)):
                 want = min(
                     sc.max_replicas,
                     max(total + 1,
@@ -161,10 +148,10 @@ class _ScalerState:
                     before=total, after=want, signal=self.rate,
                 ))
                 self.cooldown_until = (
-                    self.interval + 1 + sc.cooldown_intervals
+                    self.interval + 1 + COOLDOWN_INTERVALS
                 )
             elif (total > sc.min_replicas
-                  and self.rate < sc.down_threshold
+                  and self.rate < DOWN_THRESHOLD
                   * self._capacity(total - 1)):
                 want = max(
                     sc.min_replicas,
@@ -192,7 +179,7 @@ class _ScalerState:
                     signal=self.rate,
                 ))
                 self.cooldown_until = (
-                    self.interval + 1 + sc.cooldown_intervals
+                    self.interval + 1 + COOLDOWN_INTERVALS
                 )
         self.interval += 1
         self.timeline.append({
@@ -230,15 +217,11 @@ def assign_replicas(requests, scale: AutoscaleConfig, qps: float,
     if not requests:
         raise ConfigError("need at least one request")
     span = max(r.arrival for r in requests)
-    interval_s = (scale.interval_s if scale.interval_s is not None
-                  else max(span / DEFAULT_INTERVALS, 1e-9))
-    warmup_s = (scale.warmup_s if scale.warmup_s is not None
-                else interval_s)
+    interval_s = max(span / DEFAULT_INTERVALS, 1e-9)
     target = (scale.target_qps_per_replica
               if scale.target_qps_per_replica is not None
               else qps / scale.max_replicas)
-    state = _ScalerState(scale, interval_s, warmup_s, target,
-                         invariants=invariants)
+    state = _ScalerState(scale, interval_s, target, invariants=invariants)
     assign = []
     for req in requests:
         idx = int(req.arrival // interval_s)

@@ -10,12 +10,12 @@ batcher knobs:
 
 - **burn above the band** (out of SLO): if batches are closing near
   full, admission is throughput-bound — double ``batch_max`` (more
-  amortisation per batch) up to ``max_batch_factor`` times the
+  amortisation per batch) up to ``MAX_BATCH_FACTOR`` times the
   baseline; otherwise the tail is batching delay — halve the max-wait
-  ``timeout_s`` down to ``min_timeout_frac`` of baseline.  Sustained
+  ``timeout_s`` down to ``MIN_TIMEOUT_FRAC`` of baseline.  Sustained
   burn additionally raises the **pressure** level, shedding
   low-priority work at admission (multi-tenant runs only).
-- **burn below the band** for ``recover_after`` consecutive intervals:
+- **burn below the band** for ``RECOVER_AFTER`` consecutive intervals:
   step knobs back *toward the baseline* — pressure first, then
   max-wait, then batch size — reaching it exactly in finitely many
   steps.
@@ -40,69 +40,50 @@ import math
 from dataclasses import dataclass
 
 from repro.control.actions import ACTION_KINDS, ControlAction, actions_to_dicts
+from repro.metrics.slo import SLO_TARGET
 from repro.utils.errors import ConfigError
 
 #: default tick interval, in registry windows
 DEFAULT_INTERVAL_WINDOWS = 4
 
+# Tuner policy constants.  All are deliberately gentle: a controller
+# that thrashes is worse than none.
+#: hysteresis band on the burn rate: act only outside [low, high]
+LOW_BURN = 0.5
+HIGH_BURN = 1.0
+#: knob bounds, as multiples of the baseline ServeConfig values
+MIN_TIMEOUT_FRAC = 0.125
+MAX_BATCH_FACTOR = 8
+#: multiplicative steps (the "MD"/"MI" halves of AIMD)
+TIMEOUT_DECREASE = 0.5
+BATCH_INCREASE = 2.0
+#: additive recovery steps toward baseline, as a fraction of it
+RECOVER_FRAC = 0.25
+#: healthy intervals required before a recovery step
+RECOVER_AFTER = 2
+#: batches closing at >= this fraction of batch_max mark the interval
+#: throughput-bound (grow batches, don't cut the wait)
+FULL_BATCH_FRAC = 0.8
+#: violated intervals required before raising pressure
+PRESSURE_AFTER = 2
+
 
 @dataclass(frozen=True)
 class ControllerConfig:
-    """Tuner policy knobs.  All defaults are deliberately gentle: a
-    controller that thrashes is worse than none."""
+    """What a caller chooses about the tuner; the policy itself is the
+    module constants above."""
 
     #: tick period in simulated seconds (None = 4 registry windows)
     interval_s: float | None = None
-    #: SLO attainment target defining the error budget (matches
-    #: :class:`~repro.metrics.SLOMonitor`)
-    target: float = 0.99
-    #: hysteresis band on the burn rate: act only outside [low, high]
-    low_burn: float = 0.5
-    high_burn: float = 1.0
-    #: knob bounds, as multiples of the baseline ServeConfig values
-    min_timeout_frac: float = 0.125
-    max_batch_factor: int = 8
-    #: multiplicative steps (the "MD"/"MI" halves of AIMD)
-    timeout_decrease: float = 0.5
-    batch_increase: float = 2.0
-    #: additive recovery steps toward baseline, as a fraction of it
-    recover_frac: float = 0.25
-    #: healthy intervals required before a recovery step
-    recover_after: int = 2
-    #: batches closing at >= this fraction of batch_max mark the
-    #: interval throughput-bound (grow batches, don't cut the wait)
-    full_batch_frac: float = 0.8
     #: ceiling on the priority-shedding pressure level (0 = never shed
     #: by priority; raised by the CLI when tenancy is on)
     max_pressure: int = 0
-    #: violated intervals required before raising pressure
-    pressure_after: int = 2
 
     def __post_init__(self) -> None:
         if self.interval_s is not None and self.interval_s <= 0:
             raise ConfigError("interval_s must be positive")
-        if not 0.0 < self.target < 1.0:
-            raise ConfigError("target must be in (0, 1)")
-        if not 0.0 <= self.low_burn < self.high_burn:
-            raise ConfigError("need 0 <= low_burn < high_burn")
-        if not 0.0 < self.min_timeout_frac <= 1.0:
-            raise ConfigError("min_timeout_frac must be in (0, 1]")
-        if self.max_batch_factor < 1:
-            raise ConfigError("max_batch_factor must be >= 1")
-        if not 0.0 < self.timeout_decrease < 1.0:
-            raise ConfigError("timeout_decrease must be in (0, 1)")
-        if self.batch_increase <= 1.0:
-            raise ConfigError("batch_increase must be > 1")
-        if not 0.0 < self.recover_frac <= 1.0:
-            raise ConfigError("recover_frac must be in (0, 1]")
-        if self.recover_after < 1:
-            raise ConfigError("recover_after must be >= 1")
-        if not 0.0 < self.full_batch_frac <= 1.0:
-            raise ConfigError("full_batch_frac must be in (0, 1]")
         if self.max_pressure < 0:
             raise ConfigError("max_pressure must be non-negative")
-        if self.pressure_after < 1:
-            raise ConfigError("pressure_after must be >= 1")
 
 
 class ServeController:
@@ -179,44 +160,43 @@ class ServeController:
     def _step(self, t: float) -> None:
         """One control decision at simulated instant ``t``."""
         self.ticks += 1
-        cfg = self.config
         completed, violations, mean_batch = self._read_interval(t)
         if completed == 0:
             return  # idle interval: burns nothing, proves nothing
-        burn = (violations / completed) / (1.0 - cfg.target)
-        if burn > cfg.high_burn:
+        burn = (violations / completed) / (1.0 - SLO_TARGET)
+        if burn > HIGH_BURN:
             self.violated_streak += 1
             self.healthy_streak = 0
             self._tighten(t, burn, mean_batch)
-        elif burn < cfg.low_burn:
+        elif burn < LOW_BURN:
             self.healthy_streak += 1
             self.violated_streak = 0
-            if self.healthy_streak >= cfg.recover_after:
+            if self.healthy_streak >= RECOVER_AFTER:
                 self._recover(t, burn)
         else:
             # inside the hysteresis band: hold position
             self.violated_streak = 0
 
     def _tighten(self, t: float, burn: float, mean_batch: float) -> None:
-        cfg = self.config
-        batch_cap = self.base_batch_max * cfg.max_batch_factor
-        timeout_floor = self.base_timeout_s * cfg.min_timeout_frac
-        if (mean_batch >= cfg.full_batch_frac * self.batch_max
+        max_pressure = self.config.max_pressure
+        batch_cap = self.base_batch_max * MAX_BATCH_FACTOR
+        timeout_floor = self.base_timeout_s * MIN_TIMEOUT_FRAC
+        if (mean_batch >= FULL_BATCH_FRAC * self.batch_max
                 and self.batch_max < batch_cap):
             # throughput-bound: batches close full — amortise more
             new = min(batch_cap,
-                      int(math.ceil(self.batch_max * cfg.batch_increase)))
+                      int(math.ceil(self.batch_max * BATCH_INCREASE)))
             self._act(t, "batch-max-up", "batch_max",
                       self.batch_max, new, burn)
             self.batch_max = new
         elif self.timeout_s > timeout_floor:
             # latency-bound: the tail is batching delay — cut the wait
-            new = max(timeout_floor, self.timeout_s * cfg.timeout_decrease)
+            new = max(timeout_floor, self.timeout_s * TIMEOUT_DECREASE)
             self._act(t, "max-wait-down", "timeout_s",
                       self.timeout_s, new, burn)
             self.timeout_s = new
-        if (cfg.max_pressure and self.violated_streak >= cfg.pressure_after
-                and self.pressure < cfg.max_pressure):
+        if (max_pressure and self.violated_streak >= PRESSURE_AFTER
+                and self.pressure < max_pressure):
             self._act(t, "pressure-up", "pressure",
                       self.pressure, self.pressure + 1, burn)
             self.pressure += 1
@@ -226,19 +206,18 @@ class ServeController:
         """One step back toward the baseline: pressure, then max-wait,
         then batch size.  At the baseline this is a no-op, so under
         sustained healthy load the action log quiesces."""
-        cfg = self.config
         if self.pressure > 0:
             self._act(t, "pressure-down", "pressure",
                       self.pressure, self.pressure - 1, burn)
             self.pressure -= 1
         elif self.timeout_s < self.base_timeout_s:
-            step = cfg.recover_frac * self.base_timeout_s
+            step = RECOVER_FRAC * self.base_timeout_s
             new = min(self.base_timeout_s, self.timeout_s + step)
             self._act(t, "max-wait-recover", "timeout_s",
                       self.timeout_s, new, burn)
             self.timeout_s = new
         elif self.batch_max > self.base_batch_max:
-            step = max(1, int(round(cfg.recover_frac * self.base_batch_max)))
+            step = max(1, int(round(RECOVER_FRAC * self.base_batch_max)))
             new = max(self.base_batch_max, self.batch_max - step)
             self._act(t, "batch-max-recover", "batch_max",
                       self.batch_max, new, burn)

@@ -53,14 +53,12 @@ def control_cell(
     workload_config=None,
     requests: int = 64,
     qps: float = 2000.0,
-    chaos_config=None,
     serve_config=None,
 ) -> dict:
     """One matrix cell: static vs controlled serving under one plan."""
     import numpy as np
 
     from repro.chaos.faults import FaultPlan
-    from repro.chaos.runtime import ChaosConfig
     from repro.chaos.scenarios import SCENARIOS, _serve_pass
     from repro.core import build_system
     from repro.serve import ServeConfig, WorkloadConfig, make_workload
@@ -70,7 +68,6 @@ def control_cell(
             f"unknown scenario {scenario!r}; known: "
             f"{['none', *sorted(SCENARIOS)]}"
         )
-    cc = chaos_config if chaos_config is not None else ChaosConfig()
     serve_cfg = serve_config if serve_config is not None else ServeConfig()
     wl_cfg = (workload_config if workload_config is not None
               else WorkloadConfig(num_requests=requests, seed=config.seed))
@@ -79,7 +76,7 @@ def control_cell(
     del probe
 
     base, _, base_slo, _ = _serve_pass(
-        system_name, config, serve_cfg, workload, qps, cc, FaultPlan()
+        system_name, config, serve_cfg, workload, qps, FaultPlan()
     )
     if scenario == "none":
         plan = FaultPlan()
@@ -87,11 +84,11 @@ def control_cell(
     else:
         plan = SCENARIOS[scenario].build(base.elapsed, config.total_gpus)
         static_report, _, static_slo, _ = _serve_pass(
-            system_name, config, serve_cfg, workload, qps, cc, plan
+            system_name, config, serve_cfg, workload, qps, plan
         )
     ctl_cfg = replace(serve_cfg, controller=controller)
     ctl_report, _, ctl_slo, _ = _serve_pass(
-        system_name, config, ctl_cfg, workload, qps, cc, plan
+        system_name, config, ctl_cfg, workload, qps, plan
     )
     control = ctl_report.control or {}
     actions = sum(control.get("action_counts", {}).values())
@@ -126,7 +123,6 @@ def control_matrix(
     workload_configs=None,
     requests: int = 64,
     qps: float = 2000.0,
-    chaos_config=None,
     serve_config=None,
     workers: int = 1,
 ) -> dict:
@@ -157,7 +153,6 @@ def control_matrix(
                 "workload_config": wl_cfg,
                 "requests": requests,
                 "qps": qps,
-                "chaos_config": chaos_config,
                 "serve_config": serve_config,
             },
         )

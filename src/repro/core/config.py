@@ -31,9 +31,7 @@ class RunConfig:
     biased: bool = False
     replace: bool = True
     lr: float = 3e-3
-    dropout: float = 0.0
     queue_capacity: int = 2  # paper §5: capacity 2 suffices
-    pipeline: bool = True
     ccc: bool = True  # centralized communication coordination
     #: worker instances per GPU for the sampler/loader stages; DSP uses
     #: one of each (the multi-instance alternative costs memory and

@@ -26,6 +26,7 @@ from repro.hw.kernels import (
     kernel_duration,
     sampling_kernel,
 )
+from repro.hw.network import NICSpec
 from repro.sampling.ops import (
     AllReduce,
     AllToAll,
@@ -87,12 +88,10 @@ class CostEngine:
 
     def __init__(self, cluster: Cluster, launch_scale: float = 1.0,
                  network=None, backend: str = "nccl"):
-        from repro.hw.devices import NetworkSpec
-
         self.cluster = cluster
         self.model = CostModel(cluster.topology, launch_scale=launch_scale,
                                backend=backend)
-        self.network = network if network is not None else NetworkSpec()
+        self.network = network if network is not None else NICSpec()
         self.k = cluster.num_gpus
         from dataclasses import replace
 

@@ -30,7 +30,7 @@ from repro.cache.loader import ID_BYTES, dedup
 from repro.cache.store import Placement
 from repro.core.config import RunConfig
 from repro.core.system import DSP
-from repro.hw.devices import NetworkSpec
+from repro.hw.network import NICSpec
 from repro.nn import Adam, clone_model
 from repro.sampling.ops import (
     NetworkTransfer,
@@ -52,12 +52,12 @@ class MultiMachineDSP(DSP):
     name = "DSP-multi"
 
     def __init__(self, config: RunConfig, num_machines: int = 2,
-                 network: NetworkSpec | None = None):
+                 network: NICSpec | None = None):
         if num_machines < 1:
             raise ConfigError("need at least one machine")
         self.num_machines = num_machines
         super().__init__(config)
-        self.engine.network = network or NetworkSpec()
+        self.engine.network = network or NICSpec()
         # cold features are sharded across machines by node id
         self._shard = np.arange(self.data.num_nodes) % num_machines
         # one replica per GPU per machine, all starting identical

@@ -107,7 +107,6 @@ class TrainingSystem:
             config.hidden_dim,
             self.data.num_classes,
             num_layers=config.num_layers,
-            dropout=config.dropout,
             seed=config.seed,
         )
         self.models = clone_model(base, self.k)

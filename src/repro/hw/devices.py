@@ -92,23 +92,6 @@ class CPUSpec:
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
-    """Inter-machine network (the multi-machine extension, paper §3.2).
-
-    Default is a 100 Gb/s fabric; ``bandwidth`` is unidirectional
-    bytes/s per machine NIC.
-    """
-
-    bandwidth: float = 12.5 * GB
-    latency: float = 5e-6
-
-    def scaled(self, scale: float) -> "NetworkSpec":
-        if scale <= 0:
-            raise ConfigError("scale must be positive")
-        return self  # rates stay real, like the other devices
-
-
-@dataclass(frozen=True)
 class Cluster:
     """A set of GPUs, a host CPU and the interconnect between them."""
 

@@ -38,8 +38,7 @@ from repro.utils.errors import ConfigError
 from repro.utils.units import GB
 
 #: NIC presets: unidirectional bandwidth (bytes/s) and one-way latency.
-#: Ethernet matches the legacy :class:`~repro.hw.devices.NetworkSpec`
-#: (100 GbE = 12.5 GB/s) so single-link results stay comparable.
+#: Ethernet (100 GbE = 12.5 GB/s, 5 µs) is the default NIC everywhere.
 NIC_PRESETS = {
     "ethernet": (12.5 * GB, 5e-6),
     "infiniband": (25.0 * GB, 1.5e-6),
@@ -48,12 +47,9 @@ NIC_PRESETS = {
 
 @dataclass(frozen=True)
 class NICSpec:
-    """One server's network interface (α–β cost parameters).
-
-    Duck-compatible with :class:`~repro.hw.devices.NetworkSpec` — it
-    exposes ``bandwidth`` / ``latency`` / ``scaled`` — so it can be
-    passed anywhere the legacy spec is accepted (notably
-    ``CostEngine(network=...)``).
+    """One server's network interface (α–β cost parameters); the
+    one NIC spec behind ``CostEngine(network=...)``, the multi-server
+    :class:`ClusterTopology` and ``MultiMachineDSP(network=...)``.
     """
 
     kind: str = "ethernet"
@@ -75,8 +71,8 @@ class NICSpec:
         return cls(kind=kind, bandwidth=bw, latency=lat)
 
     def scaled(self, scale: float) -> "NICSpec":
-        """The network does not shrink with the dataset (same contract
-        as ``NetworkSpec.scaled``)."""
+        """The network does not shrink with the dataset: rates stay
+        real, like the other devices."""
         return self
 
     def degraded(self, factor: float) -> "NICSpec":
@@ -193,10 +189,6 @@ class ClusterTopology:
             server=self.server.degraded(nvlink_factor, pcie_factor),
             nic=self.nic.degraded(network_factor),
         )
-
-    def aggregate_network_bandwidth(self) -> float:
-        """Total cross-server bandwidth, both directions (Table-1 style)."""
-        return self.num_servers * self.nic.bandwidth * 2
 
 
 def multi_server_cluster(topology: ClusterTopology, scale: float = 1.0) -> Cluster:

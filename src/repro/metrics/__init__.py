@@ -17,7 +17,7 @@ from repro.metrics.histogram import DEFAULT_GROWTH, LogHistogram
 from repro.metrics.quantile import nearest_rank, percentile, percentiles
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.metrics.report import build_report, write_report
-from repro.metrics.slo import SLOMonitor, serve_summary
+from repro.metrics.slo import SLO_TARGET, SLOMonitor, serve_summary
 
 __all__ = [
     "DEFAULT_GROWTH",
@@ -26,6 +26,7 @@ __all__ = [
     "Histogram",
     "LogHistogram",
     "MetricsRegistry",
+    "SLO_TARGET",
     "SLOMonitor",
     "build_report",
     "nearest_rank",

@@ -7,8 +7,8 @@ Definitions (all on simulated time, per fixed registry window):
   the SLO (counted exactly by the serving pipeline at completion time
   — not re-derived from bucketed histograms, so the boundary is
   exact);
-- the **error budget** is ``1 - target`` (default target 0.99: "p99
-  within the SLO");
+- the **error budget** is ``1 - SLO_TARGET`` (0.99: "p99 within the
+  SLO"; the serving controller burns against the same target);
 - a window's **burn rate** is ``violation fraction / error budget`` —
   1.0 means the budget burns exactly as fast as it accrues, >1 means
   the window is out of SLO (equivalently: its nearest-rank p99 exceeds
@@ -29,7 +29,10 @@ from __future__ import annotations
 
 from repro.metrics.registry import MetricsRegistry
 
-__all__ = ["SLOMonitor", "serve_summary"]
+__all__ = ["SLO_TARGET", "SLOMonitor", "serve_summary"]
+
+#: SLO attainment target defining the error budget
+SLO_TARGET = 0.99
 
 #: latency quantiles exported per window
 QUANTILES = (50, 95, 99)
@@ -39,21 +42,17 @@ class SLOMonitor:
     """Burn rate and "SLO minutes violated" from a serving run's
     registry (see module doc for the exact definitions)."""
 
-    def __init__(self, registry: MetricsRegistry, slo_s: float,
-                 target: float = 0.99):
+    def __init__(self, registry: MetricsRegistry, slo_s: float):
         if slo_s <= 0:
             raise ValueError("slo_s must be positive")
-        if not 0.0 < target < 1.0:
-            raise ValueError("target must be in (0, 1)")
         self.registry = registry
         self.slo_s = slo_s
-        self.target = target
 
     def summary(self) -> dict:
         """JSON-safe SLO view: per-window series + run aggregates."""
         reg = self.registry
         ws = reg.window_s
-        budget = 1.0 - self.target
+        budget = 1.0 - SLO_TARGET
         hist = reg.find("histogram", "request_latency")
         viol = reg.find("counter", "slo_violations")
         viol_windows = {} if viol is None else {
@@ -89,7 +88,7 @@ class SLOMonitor:
         frac = total_viol / total_done if total_done else 0.0
         return {
             "slo_ms": self.slo_s * 1e3,
-            "target": self.target,
+            "target": SLO_TARGET,
             "window_ms": ws * 1e3,
             "windows": windows,
             "completed": total_done,
@@ -118,8 +117,7 @@ def _counter_series(reg: MetricsRegistry, name: str):
     }
 
 
-def serve_summary(registry: MetricsRegistry, slo_s: float,
-                  target: float = 0.99) -> dict:
+def serve_summary(registry: MetricsRegistry, slo_s: float) -> dict:
     """One serving run's metrics, shaped for reports and dashboards.
 
     Bundles the :class:`SLOMonitor` output with the per-stage latency
@@ -131,7 +129,7 @@ def serve_summary(registry: MetricsRegistry, slo_s: float,
     reg = registry
     out: dict = {
         "window_ms": reg.window_s * 1e3,
-        "slo": SLOMonitor(reg, slo_s, target=target).summary(),
+        "slo": SLOMonitor(reg, slo_s).summary(),
     }
 
     stages: dict[str, list] = {}

@@ -234,7 +234,6 @@ def _control_cell(spec: RunSpec):
         workload_config=p.get("workload_config"),
         requests=p.get("requests", 64),
         qps=p.get("qps", 2000.0),
-        chaos_config=p.get("chaos_config"),
         serve_config=p.get("serve_config"),
     )
 

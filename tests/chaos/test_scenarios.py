@@ -10,6 +10,7 @@ cache) untouched.  The determinism tests pin the acceptance contract:
 the report is bit-identical across repeated runs and worker counts.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -17,11 +18,21 @@ import pytest
 from repro.chaos import SCENARIOS, format_report, resilience_report
 from repro.chaos.scenarios import run_scenario
 from repro.core import RunConfig
+from repro.engine import Simulator
 from repro.utils.errors import ConfigError
 
 SYSTEMS = ("DSP", "DSP-Pull", "DGL-UVA")
 CFG = RunConfig(dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
                 fanout=(5, 3), seed=0)
+
+#: sha256 of ``json.dumps(matrix, sort_keys=True)`` for the fixture
+#: below, per scheduler core (keyed by ``use_heap_scheduler``): the
+#: invariant ``checks`` totals count dispatch batches on the bucketed
+#: core and single events on the heap core; every other field is equal
+MATRIX_SHA256 = {
+    False: "a5bf8e6c1d1e3ef9f45cd42583c8f3551075145af6b490be5ec292a644dc6f6a",
+    True: "c1a42edad9518c2965fda9751b8bce654105817b18d2edbb48447f16fd69a9c4",
+}
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +73,13 @@ class TestMatrixShape:
                 if r["outcome"] == "completed":
                     assert r["invariants"]["finalized"]
                 assert r["baseline_invariants"]["finalized"]
+
+    def test_pinned_digest(self, matrix):
+        """The whole matrix, byte for byte: a refactor of the chaos,
+        serving or control layers must not move any cell."""
+        blob = json.dumps(matrix, sort_keys=True).encode()
+        expected = MATRIX_SHA256[Simulator().use_heap_scheduler]
+        assert hashlib.sha256(blob).hexdigest() == expected
 
     def test_unknown_scenario_fails_fast(self):
         with pytest.raises(ConfigError):

@@ -8,6 +8,18 @@ from repro.control.actions import (
     ControlAction,
     action_from_dict,
 )
+from repro.control.controller import (
+    BATCH_INCREASE,
+    FULL_BATCH_FRAC,
+    HIGH_BURN,
+    LOW_BURN,
+    MAX_BATCH_FACTOR,
+    MIN_TIMEOUT_FRAC,
+    PRESSURE_AFTER,
+    RECOVER_AFTER,
+    RECOVER_FRAC,
+    TIMEOUT_DECREASE,
+)
 from repro.serve import ServeConfig
 from repro.serve.sweep import serve_once
 from repro.utils import ConfigError
@@ -19,32 +31,27 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"interval_s": 0.0},
         {"interval_s": -1.0},
-        {"target": 0.0},
-        {"target": 1.0},
-        {"target": 1.5},
-        {"low_burn": 1.0, "high_burn": 1.0},
-        {"low_burn": 2.0, "high_burn": 1.0},
-        {"low_burn": -0.1},
-        {"min_timeout_frac": 0.0},
-        {"min_timeout_frac": 1.5},
-        {"max_batch_factor": 0},
-        {"timeout_decrease": 0.0},
-        {"timeout_decrease": 1.0},
-        {"batch_increase": 1.0},
-        {"recover_frac": 0.0},
-        {"recover_after": 0},
-        {"full_batch_frac": 0.0},
         {"max_pressure": -1},
-        {"pressure_after": 0},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ControllerConfig(**kwargs)
 
     def test_defaults_valid(self):
+        """The tuner policy constants keep the bounds the removed
+        config fields used to validate."""
+        assert 0.0 <= LOW_BURN < HIGH_BURN
+        assert 0.0 < MIN_TIMEOUT_FRAC <= 1.0
+        assert MAX_BATCH_FACTOR >= 1
+        assert 0.0 < TIMEOUT_DECREASE < 1.0
+        assert BATCH_INCREASE > 1.0
+        assert 0.0 < RECOVER_FRAC <= 1.0
+        assert RECOVER_AFTER >= 1
+        assert 0.0 < FULL_BATCH_FRAC <= 1.0
+        assert PRESSURE_AFTER >= 1
         cfg = ControllerConfig()
-        assert cfg.low_burn < cfg.high_burn
         assert cfg.interval_s is None  # derived from the registry
+        assert cfg.max_pressure == 0
 
 
 class TestActions:
@@ -112,16 +119,15 @@ class TestPinnedRegime:
     def test_knob_bounds_respected(self, passes):
         """No action ever takes a knob past its configured bound."""
         _, ctl = passes
-        cfg = ControllerConfig()
         base_timeout = ctl.control["baseline"]["timeout_ms"]
         base_batch = ctl.control["baseline"]["batch_max"]
         for a in ctl.control["actions"]:
             if a["knob"] == "timeout_s":
                 assert a["after"] * 1e3 >= (
-                    cfg.min_timeout_frac * base_timeout - 1e-12)
+                    MIN_TIMEOUT_FRAC * base_timeout - 1e-12)
                 assert a["after"] * 1e3 <= base_timeout + 1e-12
             else:
-                assert a["after"] <= cfg.max_batch_factor * base_batch
+                assert a["after"] <= MAX_BATCH_FACTOR * base_batch
                 assert a["after"] >= base_batch
 
     def test_actions_are_time_ordered(self, passes):
@@ -146,7 +152,7 @@ class TestBatchGrowthRegime:
         assert counts.get("batch-max-up", 0) >= 1
         ups = [a for a in report.control["actions"]
                if a["kind"] == "batch-max-up"]
-        # multiplicative increase, capped at max_batch_factor x baseline
+        # multiplicative increase, capped at MAX_BATCH_FACTOR x baseline
         for a in ups:
             assert a["after"] == min(a["before"] * 2, 4 * 8)
 

@@ -11,7 +11,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.faults import FaultPlan
-from repro.chaos.runtime import ChaosConfig
 from repro.chaos.scenarios import _serve_pass
 from repro.control import (
     AutoscaleConfig,
@@ -112,7 +111,7 @@ def test_random_fault_plans_conserve_requests(nodes, plan_seed):
         tenancy=TenancyConfig.uniform(2, seed=plan_seed),
     )
     report, _, slo, _ = _serve_pass(
-        "DSP", CFG, cfg, w, 3000.0, ChaosConfig(), plan
+        "DSP", CFG, cfg, w, 3000.0, plan
     )
     assert report.completed + report.shed == 64
     assert slo["slo_minutes_violated"] >= 0.0

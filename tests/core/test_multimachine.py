@@ -6,7 +6,7 @@ import pytest
 from repro.core import RunConfig
 from repro.core.multimachine import MultiMachineDSP
 from repro.core.system import DSP
-from repro.hw.devices import NetworkSpec
+from repro.hw.network import NICSpec
 from repro.utils import ConfigError
 
 
@@ -67,9 +67,9 @@ class TestMultiMachine:
     def test_slow_network_slows_epoch(self):
         cfg = CFG.with_(feature_cache_bytes=0.0)
         fast = MultiMachineDSP(cfg, num_machines=2,
-                               network=NetworkSpec(bandwidth=100e9))
+                               network=NICSpec(bandwidth=100e9))
         slow = MultiMachineDSP(cfg, num_machines=2,
-                               network=NetworkSpec(bandwidth=1e8))
+                               network=NICSpec(bandwidth=1e8))
         a = fast.run_epoch(max_batches=3, functional=False)
         b = slow.run_epoch(max_batches=3, functional=False)
         assert b.epoch_time > a.epoch_time

@@ -48,6 +48,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             RunConfig(batch_size=0)
 
+    def test_no_sequential_switch(self):
+        # a sequential run is the DSP-Seq system, not a config flag
+        with pytest.raises(TypeError):
+            RunConfig(pipeline=False)
+
     def test_with_override(self):
         cfg = CFG.with_(num_gpus=2)
         assert cfg.num_gpus == 2 and cfg.dataset == "tiny"

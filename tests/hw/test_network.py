@@ -17,7 +17,7 @@ class TestNICSpec:
     def test_presets(self):
         eth = NICSpec.preset("ethernet")
         ib = NICSpec.preset("infiniband")
-        assert eth.bandwidth == 12.5 * GB  # 100 GbE, = legacy NetworkSpec
+        assert eth.bandwidth == 12.5 * GB  # 100 GbE
         assert ib.bandwidth > eth.bandwidth
         assert ib.latency < eth.latency
         assert set(NIC_PRESETS) == {"ethernet", "infiniband"}

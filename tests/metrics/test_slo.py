@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import MetricsRegistry, SLOMonitor, serve_summary
+from repro.metrics import SLO_TARGET, MetricsRegistry, SLOMonitor, serve_summary
 
 
 def _run(latencies_by_t, slo_s, window_s=1.0):
@@ -65,8 +65,10 @@ class TestSLOMonitor:
         reg = MetricsRegistry(window_s=1.0)
         with pytest.raises(ValueError):
             SLOMonitor(reg, 0.0)
-        with pytest.raises(ValueError):
-            SLOMonitor(reg, 0.005, target=1.0)
+
+    def test_target_constant_is_a_valid_budget(self):
+        # the error budget 1 - SLO_TARGET must be a proper fraction
+        assert 0.0 < SLO_TARGET < 1.0
 
 
 class TestServeSummary:

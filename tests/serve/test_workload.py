@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.serve import WorkloadConfig, make_workload
+from repro.serve.workload import PERIOD
 from repro.utils import ConfigError
 
 CANDIDATES = np.arange(500)
@@ -92,6 +93,9 @@ class TestValidation:
     def test_num_requests_positive(self):
         with pytest.raises(ConfigError):
             workload(num_requests=0)
+
+    def test_modulation_period_positive(self):
+        assert PERIOD > 0
 
     def test_qps_positive(self):
         w = workload(num_requests=8)

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
+import pathlib
 
 import pytest
 
@@ -16,6 +18,25 @@ WARMUP_SERVE = ["--dataset", "tiny", "--gpus", "2", "--fanout", "12",
                 "--requests", "256", "--qps", "1000000,2000000",
                 "--skew", "1.5", "--drift-phases", "2", "--cache-bytes", "3200",
                 "--dynamic-cache", "--cache-warmup", "64", "--metrics"]
+
+
+#: per-subcommand parser surface, one row per action
+SURFACE = pathlib.Path(__file__).with_name("cli_surface.json")
+
+
+def _surface(parser):
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: sorted(
+            [list(a.option_strings), a.dest, a.default,
+             getattr(a.type, "__name__", None),
+             None if a.choices is None else list(a.choices),
+             type(a).__name__]
+            for a in p._actions
+        )
+        for name, p in sub.choices.items()
+    }
 
 
 class TestCLI:
@@ -136,11 +157,23 @@ class TestCLI:
         ["--scale-min", "3", "--scale-max", "2"],
         ["--qps", ","],
         ["--num-replicas", "0"],
-    ], ids=["scale-range", "qps", "zero-replicas"])
+        ["--fanout", "5,x"],
+    ], ids=["scale-range", "qps", "zero-replicas", "fanout"])
     def test_serve_bad_input_is_one_line_error(self, capsys, bad):
         assert main(["serve", *ARGS, "--requests", "8", *bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_fanout_error_names_flag_and_value(self, capsys):
+        assert main(["train", *ARGS, "--fanout", "5,x", "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "--fanout" in err and "'5,x'" in err
+
+    def test_parser_surface_pinned(self):
+        """Every subcommand keeps its option strings, dests, defaults,
+        types, choices and actions (help text is free to change)."""
+        with open(SURFACE) as f:
+            assert _surface(build_parser()) == json.load(f)
 
     def test_serve_bad_arrival_rejected(self):
         with pytest.raises(SystemExit):
