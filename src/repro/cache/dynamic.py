@@ -424,7 +424,7 @@ class DynamicCachePolicy:
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        """Counters for the obs layer and the perf benchmarks."""
+        """Counters for the obs layer and the benchmarks."""
         return {
             "promotions": self.promotions,
             "demotions": self.demotions,

@@ -86,7 +86,7 @@ class FeatureLoader:
         #: placement changes invalidate the plan cache below
         self.dynamic = dynamic
         #: running per-path totals across load() calls (monotonic; the
-        #: perf benchmarks snapshot deltas around a serve run)
+        #: dynamic-cache ablation snapshots deltas around a serve run)
         self.totals = {"local": 0, "remote": 0, "cold": 0,
                        "cold_bytes": 0.0, "fill": 0}
         if plan_cache is True:

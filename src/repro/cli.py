@@ -8,7 +8,6 @@ Commands
 ``infer``    train then run distributed full-graph inference
 ``serve``    online inference serving: QPS sweep, SLO accounting, knee
 ``trace``    run one traced epoch; write a Chrome trace, print stalls
-``perf``     wall-clock microbenchmarks -> BENCH_perf.json
 ``chaos``    deterministic fault-injection scenarios -> resilience report
 ``control``  controller-on vs static SLO-minutes matrix -> verdict
 ``report``   merge saved serve/chaos/trace artifacts into one HTML report
@@ -139,6 +138,19 @@ def _fanout(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _systems(args, default=()) -> list[str]:
+    """``--systems`` as a list of names, ``default`` when empty; an
+    unknown name fails here, before any task reaches a worker."""
+    names = [s for s in args.systems.split(",") if s] or list(default)
+    for name in names:
+        if name not in SYSTEMS:
+            raise ConfigError(
+                f"--systems: unknown system {name!r}; "
+                f"available: {', '.join(sorted(SYSTEMS))}"
+            )
+    return names
+
+
 def _config(args) -> RunConfig:
     return RunConfig(
         dataset=args.dataset,
@@ -223,7 +235,7 @@ def cmd_compare(args) -> int:
     from repro.bench.harness import compare_epochs
 
     cfg = _config(args)
-    systems = args.systems.split(",") if args.systems else list(TABLE_SYSTEMS)
+    systems = _systems(args, default=TABLE_SYSTEMS)
     out = compare_epochs(
         systems, cfg, max_batches=args.batches, workers=args.workers
     )
@@ -301,6 +313,10 @@ def cmd_serve(args) -> int:
         raise ConfigError(
             f"--qps expects comma-separated numbers, got {args.qps!r}"
         ) from None
+    if not all(q > 0 for q in qps_values):
+        raise ConfigError(
+            f"--qps expects positive offered loads, got {args.qps!r}"
+        )
     tenancy = None
     if args.tenants > 0:
         from repro.control import TenancyConfig
@@ -319,7 +335,7 @@ def cmd_serve(args) -> int:
         tenancy=tenancy,
     )
     wl_cfg = _workload_config(args)
-    systems = [s for s in args.systems.split(",") if s]
+    systems = _systems(args)
     if args.scale_max > 1 and args.num_replicas != 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
@@ -475,42 +491,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_perf(args) -> int:
-    """``repro perf``: wall-clock microbenchmarks of the hot paths.
-
-    Times the Python implementation itself (not simulated hardware):
-    the CSP layer round against its chunked reference implementation,
-    the feature loader against the seed's per-holder loop, a costed
-    DSP epoch, one serving sweep point, and a whole QPS sweep (serial
-    vs the parallel executor).  Writes ``BENCH_perf.json`` so perf PRs
-    carry measured before/after deltas (see ``docs/performance.md``).
-
-    ``--baseline PATH`` additionally diffs the fresh run against a
-    committed baseline and exits nonzero when any benchmark's speedup
-    regressed by more than ``--tolerance`` (default 20%).
-    """
-    from repro.bench.perf import diff_against_baseline, format_perf, run_perf
-
-    benches = [b for b in args.benches.split(",") if b] if args.benches else None
-    payload = run_perf(quick=args.quick, benches=benches, workers=args.workers)
-    print(format_perf(payload))
-    with open(args.out, "w") as f:
-        json.dump(payload, f, indent=2)
-        f.write("\n")
-    print(f"\nwrote {args.out}")
-    if args.baseline:
-        with open(args.baseline) as f:
-            baseline = json.load(f)
-        report, regressions = diff_against_baseline(
-            payload, baseline, tolerance=args.tolerance
-        )
-        print()
-        print(report)
-        if regressions:
-            return 1
-    return 0
-
-
 def cmd_chaos(args) -> int:
     """``repro chaos``: run the fault-injection scenario suite.
 
@@ -531,7 +511,7 @@ def cmd_chaos(args) -> int:
     )
 
     cfg = _config(args)
-    systems = [s for s in args.systems.split(",") if s]
+    systems = _systems(args)
     if cfg.num_nodes > 1:
         multinode = [s for s in systems if s.startswith("DSP")]
         dropped = sorted(set(systems) - set(multinode))
@@ -807,27 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="metrics window width in ms (default: the SLO)")
     _add_output_args(p)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "perf", help="wall-clock microbenchmarks -> BENCH_perf.json"
-    )
-    p.add_argument("--quick", action="store_true",
-                   help="small datasets / few iterations (CI smoke)")
-    p.add_argument("--benches", default="",
-                   help="comma-separated subset of: csp_layer, "
-                        "feature_load, epoch, serve_batch, sweep, "
-                        "chaos_scenario, multinode_epoch, engine_core, "
-                        "cache_dynamic, control_loop (default all)")
-    _add_workers_arg(p, "benchmark")
-    p.add_argument("--baseline", metavar="PATH", default=None,
-                   help="diff against a committed BENCH_perf.json; exit "
-                        "nonzero on >tolerance speedup regression")
-    p.add_argument("--tolerance", type=float, default=0.2,
-                   help="allowed fractional speedup regression vs the "
-                        "baseline (default 0.2)")
-    p.add_argument("--out", metavar="PATH", default="BENCH_perf.json",
-                   help="JSON output path (default BENCH_perf.json)")
-    p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser(
         "chaos", help="fault-injection scenarios -> resilience report"

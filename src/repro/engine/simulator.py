@@ -37,8 +37,8 @@ pins the contract):
 - the legacy **heap core** (``use_heap_scheduler=True``, or env
   ``REPRO_HEAP_SCHEDULER=1``): one ``(time, seq, target, value)``
   binary heap, one push/pop per event — retained as the escape hatch
-  and as the *before* measurement of the ``engine_core``
-  microbenchmark (``repro perf``).
+  and as the reference the scheduler-equivalence tests compare the
+  bucketed core against.
 
 The hot path allocates nothing when no tracer/metrics/invariant hook
 is attached: blocking diagnostics (``Process.waiting_on``) store the
@@ -169,7 +169,7 @@ class Simulator:
         self._times: list[float] = []
         self._processes: list[Process] = []
         #: events dispatched so far (callbacks + process resumptions);
-        #: ``repro perf`` reports events/s from this counter
+        #: the repository benchmark reports it as ``engine.events``
         self.events_processed: int = 0
         #: optional :class:`repro.obs.Tracer`; when None (the default)
         #: no trace event is ever allocated (every hook is guarded)

@@ -4,7 +4,7 @@ DSP's whole point is extracting parallel throughput *inside* one run
 (per-GPU sampler/loader/trainer workers overlapping mini-batches, §5).
 The driver layer sitting above the simulator is just as parallel but
 was serial: every QPS-sweep point, every system of a ``repro compare``
-table and every perf-bench measurement is an independent simulation.
+table and every chaos or control cell is an independent simulation.
 This module fans those runs out across CPU cores.
 
 Design
@@ -26,9 +26,9 @@ Design
   the parent with the child's formatted traceback embedded, so a
   fan-out failure reads the same as a serial one.
 
-Five run kinds are registered: ``serve_point`` (one QPS point of a
+Four run kinds are registered: ``serve_point`` (one QPS point of a
 serving sweep, single-server, routed or autoscaled), ``epoch``,
-``perf_bench``, ``chaos_scenario`` and ``control_cell``.  Serving
+``chaos_scenario`` and ``control_cell``.  Serving
 points reuse one built system per worker process (a point resets it
 first, see :meth:`repro.core.system.TrainingSystem.reset_point`);
 epoch tasks always build fresh because an epoch mutates sampler RNGs
@@ -193,16 +193,6 @@ def _epoch(spec: RunSpec):
     return out if epochs > 1 else out[0]
 
 
-def _perf_bench(spec: RunSpec):
-    """One named perf microbenchmark -> its payload dict."""
-    from repro.bench.perf import run_single_bench
-
-    p = spec.payload
-    return run_single_bench(
-        p["bench"], quick=p.get("quick", False), clock=p.get("clock", "wall")
-    )
-
-
 def _chaos_scenario(spec: RunSpec):
     """One (system, scenario) resilience cell -> its result dict.
 
@@ -240,7 +230,6 @@ def _control_cell(spec: RunSpec):
 
 register_handler("serve_point", _serve_point)
 register_handler("epoch", _epoch)
-register_handler("perf_bench", _perf_bench)
 register_handler("chaos_scenario", _chaos_scenario)
 register_handler("control_cell", _control_cell)
 

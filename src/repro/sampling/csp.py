@@ -114,8 +114,7 @@ class CollectiveSampler:
         self.rngs = spawn_rngs(make_rng(seed), self.num_gpus)
         #: flip to False to run the chunked reference implementation of
         #: the shuffle/sample/reshuffle round (same RNG stream, same
-        #: results, slower — used by the equivalence tests and the
-        #: before/after perf benchmarks)
+        #: results, slower — used by the equivalence tests)
         self.use_fast_path: bool = True
         # scratch flag array for bounded-domain dedup (fast path): node
         # ids are < part_offsets[-1], so "unique" is a scatter + scan

@@ -90,6 +90,7 @@ class ServeConfig:
             raise ConfigError("pipeline_depth must be positive")
         if self.comm_channels < 1:
             raise ConfigError("comm_channels must be positive")
+        self.batcher()  # batcher knobs fail here, not inside a worker
 
     def batcher(self) -> BatcherConfig:
         return BatcherConfig(

@@ -11,11 +11,15 @@ from repro.cache import (
     ReplicatedCache,
 )
 from repro.cache.dynamic import DynamicCacheConfig, DynamicCachePolicy
+from repro.cache.loader import ID_BYTES
+from repro.cache.store import Placement
 from repro.core.cost import CostEngine
 from repro.hw import Cluster
 from repro.sampling.ops import (
     AllToAll,
     HostWork,
+    LocalKernel,
+    OpTrace,
     ParallelGroup,
     PCIeCopy,
     UVAGather,
@@ -253,6 +257,83 @@ class TestPlanDedup:
             plan.nodes[0] = 1
         assert req.flags.writeable
         req[0] = req[0]  # still writable in place
+
+
+def _reference_load(
+    loader: FeatureLoader, requests_per_gpu: list[np.ndarray]
+) -> tuple[list[np.ndarray], OpTrace, dict]:
+    """The seed implementation of :meth:`FeatureLoader.load`, verbatim.
+
+    Kept as the equivalence oracle for the vectorized loader:
+    duplicated ``loc.count`` calls and a per-holder Python loop.
+    """
+    k = loader.store.num_gpus
+    out: list[np.ndarray] = []
+    pos_req = np.zeros((k, k), dtype=np.float64)
+    feat_resp = np.zeros((k, k), dtype=np.float64)
+    local_bytes = np.zeros(k, dtype=np.float64)
+    cold_items = np.zeros(k, dtype=np.float64)
+    stats = {"local": 0, "remote": 0, "cold": 0}
+
+    for g, req in enumerate(requests_per_gpu):
+        nodes = np.unique(np.asarray(req, dtype=np.int64))
+        out.append(loader.features[nodes])
+        loc = loader.store.locate(nodes, g)
+        stats["local"] += loc.count(Placement.LOCAL)
+        stats["remote"] += loc.count(Placement.REMOTE)
+        stats["cold"] += loc.count(Placement.COLD)
+
+        local_bytes[g] = loc.count(Placement.LOCAL) * loader.row_bytes
+        cold_items[g] = loc.count(Placement.COLD)
+        remote = loc.placement == Placement.REMOTE
+        if remote.any():
+            holders, counts = np.unique(loc.holder[remote], return_counts=True)
+            for o, c in zip(holders, counts):
+                pos_req[g, o] += c * ID_BYTES
+                feat_resp[o, g] += c * loader.row_bytes
+
+    hot_branch = [
+        AllToAll(pos_req, label="feat-pos-req"),
+        AllToAll(feat_resp, label="feat-hot"),
+        LocalKernel("gather", local_bytes, label="feat-local"),
+    ]
+    cold_branch = [
+        UVAGather(cold_items, item_bytes=loader.row_bytes, label="feat-cold")
+    ]
+    trace = OpTrace()
+    trace.add(
+        ParallelGroup(branches=(tuple(hot_branch), tuple(cold_branch)),
+                      label="feature-load")
+    )
+    stats["local_bytes"] = stats["local"] * loader.row_bytes
+    stats["remote_bytes"] = stats["remote"] * loader.row_bytes
+    stats["cold_bytes"] = stats["cold"] * loader.row_bytes
+    return out, trace, stats
+
+
+def test_vectorized_loader_matches_seed_implementation():
+    rng = np.random.default_rng(0)
+    n, k = 4_000, 4
+    offsets = np.linspace(0, n, k + 1).astype(np.int64)
+    store = PartitionedCache(offsets, rng.permutation(n), budget_nodes=n // 8)
+    features = rng.random((n, 16)).astype(np.float32)
+    loader = FeatureLoader(features, store)
+    requests = [rng.integers(0, n, size=600) for _ in range(k)]
+
+    out_a, trace_a, stats_a = loader.load(requests)
+    out_b, trace_b, stats_b = _reference_load(loader, requests)
+    assert stats_a == stats_b
+    for a, b in zip(out_a, out_b):
+        assert np.array_equal(a, b)
+    (group_a,), (group_b,) = trace_a.ops, trace_b.ops
+    for branch_a, branch_b in zip(group_a.branches, group_b.branches):
+        for op_a, op_b in zip(branch_a, branch_b):
+            assert type(op_a) is type(op_b) and op_a.label == op_b.label
+            for attr in ("matrix", "work", "items"):
+                if hasattr(op_a, attr):
+                    assert np.array_equal(
+                        getattr(op_a, attr), getattr(op_b, attr)
+                    )
 
 
 #: sha256 of the per-request predictions of a functional serve run,

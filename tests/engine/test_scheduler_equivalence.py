@@ -15,7 +15,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.engine import BoundedQueue, Resource, Simulator, Timeout
+from repro.engine import (
+    BoundedQueue,
+    Rendezvous,
+    Resource,
+    Simulator,
+    Timeout,
+)
 from repro.utils import DeadlockError
 
 #: quantized delays: many events share a timestamp, which is exactly
@@ -164,6 +170,63 @@ class TestDuplicateTimestamps:
             return hits
 
         assert run(False) == run(True)
+
+
+class TestRendezvousTimerStorm:
+    """Producer/consumer pairs over bounded queues, a contended SM pool,
+    periodic rendezvous rounds and a timer storm whose deadlines are
+    quantized (many timers share one timestamp: the admission batcher's
+    max-wait shape).  The fuzzed programs above have no rendezvous op;
+    this mix does."""
+
+    @staticmethod
+    def _drive(use_heap: bool, pairs: int, rounds: int,
+               barrier_every: int) -> Simulator:
+        sim = Simulator(use_heap_scheduler=use_heap)
+        sm = Resource(sim, capacity=max(2, pairs // 2), name="sm")
+        rdv = Rendezvous(sim, name="rdv")
+        queues = [BoundedQueue(sim, 4, name=f"q{i}") for i in range(pairs)]
+
+        def tick():
+            pass
+
+        def timers():
+            for _ in range(rounds):
+                for j in range(4):
+                    sim.schedule((1 + (j % 2)) * 1e-4, tick)
+                yield Timeout(1e-4)
+
+        ticks = [Timeout(r * 1e-4) for r in range(7)]
+
+        def producer(q, i):
+            for r in range(rounds):
+                yield ticks[r % 7]
+                yield q.put((i, r))
+
+        def consumer(q, i):
+            for r in range(rounds):
+                yield q.get()
+                yield sm.acquire(1)
+                yield ticks[1]
+                sm.release(1)
+                if r % barrier_every == 0:
+                    yield rdv.arrive(("b", r), pairs)
+
+        sim.spawn(timers(), name="timers")
+        for i, q in enumerate(queues):
+            sim.spawn(producer(q, i), name=f"p{i}")
+            sim.spawn(consumer(q, i), name=f"c{i}")
+        sim.run()
+        return sim
+
+    @pytest.mark.parametrize("barrier_every", [1, 16])
+    def test_cores_agree(self, barrier_every):
+        heap = self._drive(True, pairs=8, rounds=60,
+                           barrier_every=barrier_every)
+        bucket = self._drive(False, pairs=8, rounds=60,
+                             barrier_every=barrier_every)
+        assert bucket.now == heap.now  # bit-identical, not approx
+        assert bucket.events_processed == heap.events_processed
 
 
 class TestDeadlockForensics:

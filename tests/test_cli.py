@@ -158,11 +158,29 @@ class TestCLI:
         ["--qps", ","],
         ["--num-replicas", "0"],
         ["--fanout", "5,x"],
-    ], ids=["scale-range", "qps", "zero-replicas", "fanout"])
+        ["--qps", "0"],
+        ["--batch-max", "0"],
+        ["--queue-capacity", "0"],
+        ["--batch-timeout-ms", "-1"],
+    ], ids=["scale-range", "qps", "zero-replicas", "fanout", "zero-qps",
+            "zero-batch-max", "zero-queue", "negative-timeout"])
     def test_serve_bad_input_is_one_line_error(self, capsys, bad):
         assert main(["serve", *ARGS, "--requests", "8", *bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_qps_error_names_flag_and_value(self, capsys):
+        assert main(["serve", *ARGS, "--requests", "8",
+                     "--qps", "2000,0"]) == 1
+        err = capsys.readouterr().err
+        assert "--qps" in err and "'2000,0'" in err
+
+    @pytest.mark.parametrize("command", ["compare", "chaos"])
+    def test_unknown_system_is_one_line_error(self, capsys, command):
+        assert main([command, *ARGS, "--systems", "NOPE"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--systems" in err and "'NOPE'" in err
 
     def test_fanout_error_names_flag_and_value(self, capsys):
         assert main(["train", *ARGS, "--fanout", "5,x", "--epochs", "1"]) == 1
@@ -178,25 +196,6 @@ class TestCLI:
     def test_serve_bad_arrival_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--arrival", "uniform"])
-
-    def test_perf_single_bench_out(self, capsys, tmp_path):
-        path = tmp_path / "BENCH_perf.json"
-        assert main(["perf", "--quick", "--benches", "feature_load",
-                     "--out", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert f"wrote {path}" in out and "speedup" in out
-        payload = json.loads(path.read_text())
-        assert payload["quick"] is True
-        r = payload["benchmarks"]["feature_load"]
-        assert r["wall_s_after"] > 0 and r["wall_s_before"] > 0
-        assert r["speedup"] == pytest.approx(
-            r["wall_s_before"] / r["wall_s_after"]
-        )
-
-    def test_perf_rejects_unknown_bench(self, capsys, tmp_path):
-        assert main(["perf", "--quick", "--benches", "magic",
-                     "--out", str(tmp_path / "x.json")]) == 1
-        assert "magic" in capsys.readouterr().err
 
     def test_parser_rejects_unknown_system(self):
         with pytest.raises(SystemExit):

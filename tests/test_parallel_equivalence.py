@@ -2,8 +2,7 @@
 
 ``--workers N`` must change *which process* runs a simulation and
 nothing else.  These tests pin that by comparing the exact exported
-artifacts — sweep report JSON, compare metric dicts, and (under the
-deterministic fake clock) the whole ``BENCH_perf.json`` payload — for
+artifacts — sweep report JSON and compare metric dicts — for
 ``workers`` in {1, 2, 4} on the products dataset.
 """
 
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import compare_epochs
-from repro.bench.perf import run_perf
 from repro.core import RunConfig, build_system
 from repro.core.metrics import metrics_dict
 from repro.serve import ServeConfig, WorkloadConfig, make_workload, qps_sweep
@@ -55,22 +53,6 @@ class TestCompareEquivalence:
             assert list(out) == list(systems)
             got = json.dumps({k: metrics_dict(m) for k, m in out.items()})
             assert got == ref, f"workers={n} diverged"
-
-
-class TestPerfEquivalence:
-    def test_workers_do_not_change_perf_payload(self):
-        """Under the fake clock the payload is a pure function of the
-        inputs, so the merged BENCH_perf.json must be byte-identical
-        whichever process ran each benchmark."""
-        benches = ["csp_layer", "feature_load", "sweep"]
-        serial = json.dumps(
-            run_perf(quick=True, benches=benches, workers=1, clock="fake")
-        )
-        for n in WORKERS[1:]:
-            got = json.dumps(
-                run_perf(quick=True, benches=benches, workers=n, clock="fake")
-            )
-            assert got == serial, f"workers={n} diverged"
 
 
 class TestCrashPropagation:
