@@ -41,7 +41,7 @@ assert.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -335,10 +335,6 @@ class FaultPlan:
                 raise ConfigError(f"unknown fault kind {kind!r}")
             events.append(ev)
         return cls(events=tuple(events), seed=seed)
-
-
-def _fault_fields(cls) -> tuple:  # pragma: no cover - introspection aid
-    return tuple(f.name for f in fields(cls))
 
 
 __all__ = [

@@ -9,9 +9,9 @@ determinism contract the chaos acceptance tests assert.
 The pipeline/serving replay loops consult the injector at well-defined
 points (op start, batch boundary, collective join) and the injector
 answers with multiplicative slowdowns, blackout waits, crash flags and
-lost cache peers.  When a tracer is attached, :meth:`install` also
-schedules one ``chaos`` instant per fault-window boundary so every
-injected fault is visible on the trace timeline.
+lost cache peers.  :meth:`install` annotates every fault-window
+boundary onto the simulator's probe, so each injected fault is visible
+on the trace and metrics timelines.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from repro.chaos.faults import FaultPlan
 class FaultInjector:
     """Interprets a fault plan for one simulation (see module doc)."""
 
-    def __init__(self, plan: FaultPlan, tracer=None):
+    def __init__(self, plan: FaultPlan):
         self.plan = plan
-        self.tracer = tracer
         self.sim = None
         ev = plan.events
         self._stragglers = [e for e in ev if e.KIND == "gpu-straggler"]
@@ -44,23 +43,15 @@ class FaultInjector:
 
     # -- lifecycle -------------------------------------------------------
     def install(self, sim) -> "FaultInjector":
-        """Bind to a simulator; emit trace instants (and metrics
-        events, when a registry is attached) at fault boundaries."""
+        """Bind to a simulator and annotate its probe (when it has one)
+        with every fault boundary."""
         self.sim = sim
-        tracer = self.tracer if self.tracer is not None else sim.tracer
-        if tracer is not None:
+        probe = sim.probe
+        if probe is not None:
             for ev in self.plan.events:
-                tracer.instant("chaos", f"inject:{ev.KIND}", ev.start,
-                               cat="chaos", **ev.to_dict())
+                probe.annotate(ev.start, f"inject:{ev.KIND}", **ev.to_dict())
                 if ev.end != float("inf"):
-                    tracer.instant("chaos", f"clear:{ev.KIND}", ev.end,
-                                   cat="chaos", kind=ev.KIND)
-        metrics = getattr(sim, "metrics", None)
-        if metrics is not None:
-            for ev in self.plan.events:
-                metrics.event(ev.start, f"inject:{ev.KIND}", **ev.to_dict())
-                if ev.end != float("inf"):
-                    metrics.event(ev.end, f"clear:{ev.KIND}", kind=ev.KIND)
+                    probe.annotate(ev.end, f"clear:{ev.KIND}", kind=ev.KIND)
         return self
 
     @property

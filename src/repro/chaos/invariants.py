@@ -2,10 +2,10 @@
 
 The :class:`InvariantChecker` is an *oracle*: independent bookkeeping
 that re-verifies properties the engine is supposed to guarantee by
-construction.  Installed on a :class:`~repro.engine.simulator.Simulator`
-(``sim.invariants = checker``), every hook site in the engine is guarded
-by ``is not None`` so un-instrumented runs execute exactly the same
-instructions as before this module existed.
+construction.  Installed with ``Simulator(invariants=checker)`` (or
+``PipelineRunner`` / ``GNNServer(invariants=...)``), it is fed by the
+simulator's probe (:mod:`repro.obs.probe`), which also puts each
+violation on the run's trace and metrics timelines.
 
 Checked invariants:
 
@@ -53,12 +53,10 @@ class InvariantChecker:
     (used by tests that assert a violation *is* detected).
     """
 
-    def __init__(self, strict: bool = True, tracer=None, metrics=None):
+    def __init__(self, strict: bool = True):
         self.strict = strict
-        self.tracer = tracer
-        #: optional :class:`repro.metrics.MetricsRegistry` — violations
-        #: land on the metrics timeline as annotated events
-        self.metrics = metrics
+        #: the probe of the simulator this checker is installed on
+        self.probe = None
         self.violations: list[str] = []
         self.checks = 0
         self._last_time = 0.0
@@ -79,13 +77,9 @@ class InvariantChecker:
     def _fail(self, invariant: str, message: str) -> None:
         text = f"[{invariant}] {message}"
         self.violations.append(text)
-        if self.tracer is not None:
-            self.tracer.instant("chaos", f"violation:{invariant}",
-                                self._last_time, cat="chaos",
+        if self.probe is not None:
+            self.probe.annotate(self._last_time, f"violation:{invariant}",
                                 detail=message)
-        if self.metrics is not None:
-            self.metrics.event(self._last_time, f"violation:{invariant}",
-                               detail=message)
         if self.strict:
             raise InvariantViolation(text, invariant=invariant)
 
@@ -93,7 +87,7 @@ class InvariantChecker:
     def clean(self) -> bool:
         return not self.violations
 
-    # -- hooks (called by the engine, guarded by ``is not None``) --------
+    # -- hooks (called through the simulator's probe) ----------------------
     def on_event_time(self, t: float) -> None:
         # Under the default bucketed scheduler this fires once per
         # *distinct* timestamp (a dispatch batch); under the legacy

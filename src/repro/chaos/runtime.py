@@ -25,13 +25,12 @@ from repro.chaos.invariants import InvariantChecker
 class ChaosRuntime:
     """One run's worth of fault injection + invariant auditing."""
 
-    def __init__(self, plan: FaultPlan | None = None, tracer=None):
+    def __init__(self, plan: FaultPlan | None = None):
         self.plan = plan if plan is not None else FaultPlan()
         self.injector = (
-            None if self.plan.fault_free
-            else FaultInjector(self.plan, tracer=tracer)
+            None if self.plan.fault_free else FaultInjector(self.plan)
         )
-        self.invariants = InvariantChecker(tracer=tracer)
+        self.invariants = InvariantChecker()
 
     def pipeline_kwargs(self) -> dict:
         """Keyword arguments for :class:`~repro.core.pipeline.PipelineRunner`."""

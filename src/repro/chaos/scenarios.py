@@ -242,7 +242,7 @@ def _serve_pass(system_name: str, config, serve_cfg, workload, qps: float,
 
     system = build_system(system_name, config)
     registry = MetricsRegistry(window_s=serve_cfg.slo_s)
-    inv = InvariantChecker(metrics=registry)
+    inv = InvariantChecker()
     injector = None if plan.fault_free else FaultInjector(plan)
     report = GNNServer(system, serve_cfg, metrics=registry,
                        injector=injector,

@@ -317,6 +317,12 @@ def cmd_serve(args) -> int:
         raise ConfigError(
             f"--qps expects positive offered loads, got {args.qps!r}"
         )
+    window = args.metrics_window_ms
+    if window is not None and not 0.0 < window < float("inf"):
+        raise ConfigError(f"--metrics-window-ms expects a positive width, got {window:g}")
+    for flag, count in (("--tenants", args.tenants), ("--cache-warmup", args.cache_warmup)):
+        if count < 0:
+            raise ConfigError(f"{flag} expects a count >= 0, got {count}")
     tenancy = None
     if args.tenants > 0:
         from repro.control import TenancyConfig

@@ -89,11 +89,9 @@ class ControllerConfig:
 class ServeController:
     """Periodic in-simulation tuner over a serving run's batchers."""
 
-    def __init__(self, config: ControllerConfig, serve_config, registry,
-                 tracer=None):
+    def __init__(self, config: ControllerConfig, serve_config, registry):
         self.config = config
         self.registry = registry
-        self.tracer = tracer
         # frozen baselines the controller recovers toward
         self.base_batch_max = serve_config.batch_max
         self.base_timeout_s = serve_config.batch_timeout_s
@@ -237,11 +235,8 @@ class ServeController:
             t=t, kind=kind, knob=knob, before=float(before),
             after=float(after), signal=float(signal),
         ))
-        if self.tracer is not None:
-            self.tracer.instant("controller", kind, t, cat="control",
-                                knob=knob, before=before, after=after)
-        self.registry.event(t, f"control:{kind}", knob=knob,
-                            before=float(before), after=float(after))
+        if self._sim.probe is not None:
+            self._sim.probe.control_action(t, kind, knob, before, after)
 
     # -- reporting --------------------------------------------------------
     def summary(self) -> dict:

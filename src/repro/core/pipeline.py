@@ -102,24 +102,13 @@ class PipelineRunner:
         multi-instance alternative of §5; the trainer stays single to
         preserve BSP, consuming batches in order).
 
-        ``tracer`` (a :class:`repro.obs.Tracer`) records the full
-        timeline: one span per op tagged ``(gpu, stage, batch,
-        collective)``, wait spans for every blocked primitive, SM and
-        queue-depth counters, cumulative per-link byte counters and —
-        when ``batch_info`` supplies per-batch annotations such as
-        ``{"cache": {...}}`` — cumulative cache hit/miss counters at
-        the simulated time each batch's load stage completes.  With
-        ``tracer=None`` no event objects are allocated at all.
-
-        ``metrics`` (a :class:`repro.metrics.MetricsRegistry`) streams
-        the same signals into fixed sim-time windows instead of an
-        event log: SM utilization and queue-depth gauges (via the
-        engine primitives), per-link byte counters and feature-cache
-        counters.  Same zero-cost-off contract as the tracer.
+        ``tracer``, ``metrics`` and ``invariants`` instrument the replay
+        (:mod:`repro.obs.probe` says what each records);
+        ``batch_info[t]`` may carry batch ``t``'s ``{"cache": {...}}``
+        path counts.
 
         ``injector`` (a :class:`repro.chaos.FaultInjector`) perturbs
-        the replay; ``invariants`` (an
-        :class:`repro.chaos.InvariantChecker`) audits it.  A
+        the replay.  A
         :class:`~repro.engine.coordination.CollectiveGuard` watchdog is
         armed whenever an injector is present or
         ``collective_timeout`` is given explicitly;
@@ -175,13 +164,11 @@ class PipelineRunner:
     def run(self) -> PipelineResult:
         """Simulate the epoch; returns wall time and GPU utilization."""
         k = self.cluster.num_gpus
-        tracer = self.tracer
-        met = self.metrics
         inj = self.injector
         inv = self.invariants
-        sim = Simulator(tracer=tracer, metrics=met)
-        if inv is not None:
-            sim.invariants = inv
+        sim = Simulator(tracer=self.tracer, metrics=self.metrics,
+                        invariants=inv)
+        probe = sim.probe
         if inj is not None:
             inj.install(sim)
         threads = [
@@ -203,88 +190,23 @@ class PipelineRunner:
                                     max_retries=self.max_retries,
                                     backoff=self.backoff)
 
-        # cumulative cluster-wide wire bytes per link class; each GPU's
-        # replay of an op adds a 1/k share because OpCost byte fields
-        # are already cluster totals for the op
-        link_totals = {"nvlink": 0.0, "pcie": 0.0, "network": 0.0}
-        cache_totals: dict = {}
-        # chaos accounting: bytes skipped by degraded (abandoned)
-        # collective rounds, and (gpu, stage, batch) triples lost to
-        # crashed workers — mirrors what the invariant checker records
-        skipped_bytes: dict = {}
+        # chaos accounting: (gpu, stage, batch) triples lost to crashed
+        # workers — mirrors what the invariant checker records
         lost_triples: set = set()
 
         def note_lost(g: int, stage: str, t: int, reason: str) -> None:
             lost_triples.add((g, stage, t))
-            if inv is not None:
-                inv.note_lost(g, stage, t, reason)
-            if tracer is not None:
-                tracer.instant("chaos", f"lost:{stage}", sim.now,
-                               cat="chaos", gpu=g, batch=t, reason=reason)
+            if probe is not None:
+                probe.stage_lost(g, stage, t, reason)
 
         def stage_done(g: int, stage: str, t: int) -> None:
-            if inv is not None:
-                inv.on_stage_done(g, stage, t)
-
-        def trace_op(g: int, cost: OpCost, tag, track: str, t0: float,
-                     degraded: bool = False):
-            stage, batch = tag[0], tag[1]
-            extra = {"degraded": True} if degraded else {}
-            tracer.span(
-                track, cost.label, cat=stage, start=t0, end=sim.now,
-                gpu=g, stage=stage, batch=batch,
-                collective=cost.collective, host=cost.host, **extra,
-            )
-            if degraded:
-                return
-            share = 1.0 / k
-            bumped = False
-            for link, nbytes in cost.link_bytes().items():
-                if nbytes:
-                    link_totals[link] += nbytes * share
-                    bumped = True
-            if bumped:
-                tracer.counter("link-bytes", "cumulative", sim.now,
-                               **link_totals)
-
-        def finish_op(g: int, cost: OpCost, tag, track: str, t0: float,
-                      degraded: bool) -> None:
-            if degraded:
-                for link, nbytes in cost.link_bytes().items():
-                    if nbytes:
-                        skipped_bytes[link] = (
-                            skipped_bytes.get(link, 0.0) + nbytes / k
-                        )
-            else:
-                if inv is not None:
-                    for link, nbytes in cost.link_bytes().items():
-                        if nbytes:
-                            inv.on_bytes(link, nbytes / k)
-                if met is not None:
-                    for link, nbytes in cost.link_bytes().items():
-                        if nbytes:
-                            met.counter("link_bytes", link=link).inc(
-                                sim.now, nbytes / k
-                            )
-            if tracer is not None:
-                trace_op(g, cost, tag, track, t0, degraded)
-
-        def emit_batch_info(t: int) -> None:
-            """Cumulative cache hit/miss counters when batch t's load
-            stage completes (emitted once per batch, by GPU 0)."""
-            info = self.batch_info[t] if self.batch_info else None
-            if not info:
-                return
-            for key, value in info.get("cache", {}).items():
-                cache_totals[key] = cache_totals.get(key, 0) + value
-                if met is not None and value:
-                    met.counter("feature_cache", key=key).inc(sim.now, value)
-            if cache_totals and tracer is not None:
-                tracer.counter("cache", "cumulative", sim.now,
-                               **cache_totals)
+            if probe is not None:
+                probe.stage_done(g, stage, t, self.batch_info)
 
         def run_op(g: int, cost: OpCost, tag, track: str = ""):
             t0 = sim.now
+            footprint = min(cost.threads, threads[g].capacity)
+            degraded = False
             if cost.host:
                 # host-side work: the GPU just waits
                 if inj is not None:
@@ -292,10 +214,7 @@ class PipelineRunner:
                     if bw > 0.0:
                         yield Timeout(bw)
                 yield Timeout(float(cost.stage))
-                finish_op(g, cost, tag, track, t0, False)
-                return
-            footprint = min(cost.threads, threads[g].capacity)
-            if cost.collective:
+            elif cost.collective:
                 if gate is not None:
                     yield gate.wait_turn(g, tag)
                 yield channels[g].acquire(1)
@@ -310,7 +229,6 @@ class PipelineRunner:
                     d = inj.drop_wait(g)
                     if d > 0.0:
                         yield Timeout(d)
-                degraded = False
                 if guard is not None:
                     outcome = yield from guard.join(tag, k)
                     degraded = outcome == ROUND_ABANDONED
@@ -325,7 +243,6 @@ class PipelineRunner:
                 yield Timeout(dur)
                 threads[g].release(footprint)
                 channels[g].release(1)
-                finish_op(g, cost, tag, track, t0, degraded)
             else:
                 yield threads[g].acquire(footprint)
                 dur = float(cost.per_gpu[g])
@@ -339,7 +256,8 @@ class PipelineRunner:
                         dur *= inj.compute_scale(g)
                 yield Timeout(dur)
                 threads[g].release(footprint)
-                finish_op(g, cost, tag, track, t0, False)
+            if probe is not None:
+                probe.op_done(track, cost, tag, g, t0, k, degraded)
 
         def skip_ops(g: int, stage: str, t: int):
             """Walk a lost batch's collective tags through the CCC gate.
@@ -386,9 +304,6 @@ class PipelineRunner:
                         for i, cost in enumerate(self.batches[t][stage]):
                             yield from run_op(g, cost, (stage, t, i), track)
                         stage_done(g, stage, t)
-                        if (stage == "load" and g == 0
-                                and (tracer is not None or met is not None)):
-                            emit_batch_info(t)
                     if k > 1:
                         yield barrier.arrive(("batch-end", t), k)
 
@@ -396,8 +311,8 @@ class PipelineRunner:
                 return f"seq-gpu{g}"
 
             for g in range(k):
-                if tracer is not None:
-                    tracer.declare_track(f"seq-gpu{g}", group=f"gpu{g}")
+                if probe is not None:
+                    probe.declare_track(f"seq-gpu{g}", group=f"gpu{g}")
                 procs[f"seq-gpu{g}"] = sim.spawn(worker(g), name=f"seq-gpu{g}")
         else:
             S, L = self.sampler_workers, self.loader_workers
@@ -469,8 +384,6 @@ class PipelineRunner:
                     for i, cost in enumerate(self.batches[t]["load"]):
                         yield from run_op(g, cost, ("load", t, i), track)
                     stage_done(g, "load", t)
-                    if g == 0 and (tracer is not None or met is not None):
-                        emit_batch_info(t)
                     yield queues_lt[g].put(t)
 
             def trainer(g: int):
@@ -518,28 +431,19 @@ class PipelineRunner:
                 return f"trainer-gpu{g}"
 
             for g in range(k):
-                if tracer is not None:
-                    for w in range(S):
-                        tracer.declare_track(f"sampler{w}-gpu{g}",
-                                             group=f"gpu{g}", sort=w)
-                    for w in range(L):
-                        tracer.declare_track(f"loader{w}-gpu{g}",
-                                             group=f"gpu{g}", sort=S + w)
-                    tracer.declare_track(f"trainer-gpu{g}", group=f"gpu{g}",
-                                         sort=S + L)
-                for w in range(S):
-                    name = f"sampler{w}-gpu{g}"
-                    procs[name] = sim.spawn(sampler(g, w), name=name)
-                for w in range(L):
-                    name = f"loader{w}-gpu{g}"
-                    procs[name] = sim.spawn(loader(g, w), name=name)
-                name = f"trainer-gpu{g}"
-                procs[name] = sim.spawn(trainer(g), name=name)
+                # one track per worker, displayed in pipeline order
+                workers = (
+                    [(f"sampler{w}-gpu{g}", sampler(g, w)) for w in range(S)]
+                    + [(f"loader{w}-gpu{g}", loader(g, w)) for w in range(L)]
+                    + [(f"trainer-gpu{g}", trainer(g))]
+                )
+                for sort, (name, gen) in enumerate(workers):
+                    if probe is not None:
+                        probe.declare_track(name, group=f"gpu{g}", sort=sort)
+                    procs[name] = sim.spawn(gen, name=name)
 
         try:
             total = sim.run()
-            if met is not None:
-                met.finalize(total)
         except DeadlockError as e:
             stall = _diagnose_stall(e, procs, queue_producers,
                                     queue_consumers, gate=gate,
@@ -548,28 +452,8 @@ class PipelineRunner:
                 raise stall from None
             raise
 
-        if inv is not None:
-            share = 1.0 / k
-            expected_bytes: dict = {}
-            for (g, stage, t) in inv.completed:
-                for cost in self.batches[t][stage]:
-                    for link, nbytes in cost.link_bytes().items():
-                        if nbytes:
-                            expected_bytes[link] = (
-                                expected_bytes.get(link, 0.0)
-                                + nbytes * share
-                            )
-            for link, nbytes in skipped_bytes.items():
-                expected_bytes[link] = (
-                    expected_bytes.get(link, 0.0) - nbytes
-                )
-            inv.finalize(
-                expected_bytes=expected_bytes,
-                expected_batches=[
-                    (g, stage, t)
-                    for g in range(k) for stage in STAGES for t in range(B)
-                ],
-            )
+        if probe is not None:
+            probe.epoch_end(self.batches, STAGES, k)
 
         occ = float(np.mean([r.occupancy(total) for r in threads]))
         per_busy = tuple(r.busy_fraction(total) for r in threads)

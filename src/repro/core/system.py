@@ -253,17 +253,11 @@ class TrainingSystem:
         experiments.  ``max_batches`` truncates the epoch and
         extrapolates the time linearly (steady-state batches are iid).
 
-        ``tracer`` (a :class:`repro.obs.Tracer`) records the simulated
-        timeline of the measured batches — op spans, wait spans, SM /
-        queue / cache / link-byte counters — through the pipeline
-        replay (see ``docs/observability.md``).  The trace covers the
-        measured batches only, i.e. the epoch before the ``max_batches``
-        extrapolation and the per-batch allocator overhead are applied.
-
-        ``metrics`` (a :class:`repro.metrics.MetricsRegistry`) streams
-        the same signals into fixed sim-time windows — SM utilization,
-        queue depths, per-link bytes, feature-cache counters — instead
-        of retaining a full event log.  Zero-cost when ``None``.
+        ``tracer`` (a :class:`repro.obs.Tracer`) and ``metrics`` (a
+        :class:`repro.metrics.MetricsRegistry`) record the pipeline
+        replay of the measured batches only — the epoch before the
+        ``max_batches`` extrapolation and the per-batch allocator
+        overhead (see ``docs/observability.md``).
 
         ``chaos`` (a :class:`repro.chaos.ChaosRuntime`, duck-typed via
         its ``pipeline_kwargs()``) injects faults into the pipeline
@@ -294,8 +288,9 @@ class TrainingSystem:
             accs.append(acc)
             for key in cache_stats:
                 cache_stats[key] += stats.get(key, 0)
-            if tracer is not None or metrics is not None:
-                batch_info.append({"cache": dict(stats)})
+            # path counts for the cache counters (not the dynamic moves)
+            batch_info.append({"cache": {key: v for key, v in stats.items()
+                                         if key != "dynamic"}})
 
             costs = {
                 "sample": self.engine.trace_cost(s_trace),
@@ -313,8 +308,6 @@ class TrainingSystem:
 
         overhead = self._batch_overhead() * len(measured)
         scale_up = len(batches) / len(measured)
-        info = (batch_info if (tracer is not None or metrics is not None)
-                else None)
         chaos_kwargs = {} if chaos is None else chaos.pipeline_kwargs()
         if self.pipelined:
             result = PipelineRunner(
@@ -326,13 +319,13 @@ class TrainingSystem:
                 loader_workers=self.config.loader_workers,
                 tracer=tracer,
                 metrics=metrics,
-                batch_info=info,
+                batch_info=batch_info,
                 **chaos_kwargs,
             ).run()
         else:
             result = PipelineRunner(
                 self.cluster, stage_costs, sequential=True,
-                tracer=tracer, metrics=metrics, batch_info=info,
+                tracer=tracer, metrics=metrics, batch_info=batch_info,
                 **chaos_kwargs,
             ).run()
         #: the replayed pipeline outcome of the latest epoch, including

@@ -66,13 +66,8 @@ class LaunchGate:
         if pos is None or pos != self._next[gpu]:
             raise ReproError(f"gpu {gpu} launched {tag!r} out of turn")
         self._next[gpu] += 1
-        if self.sim.invariants is not None:
-            self.sim.invariants.on_launch(gpu, tag, pos)
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                "ccc-gate", f"launched:{tag}", self.sim.now,
-                cat="ccc", gpu=gpu, position=pos,
-            )
+        if self.sim.probe is not None:
+            self.sim.probe.collective_launch(gpu, tag, pos)
         self._drain(gpu)
 
     # -- internals -------------------------------------------------------
@@ -80,11 +75,8 @@ class LaunchGate:
         if tag not in self._position:
             self._position[tag] = len(self.order)
             self.order.append(tag)
-            if self.sim.tracer is not None:
-                self.sim.tracer.instant(
-                    "ccc-gate", f"order:{tag}", self.sim.now,
-                    cat="ccc", position=self._position[tag],
-                )
+            if self.sim.probe is not None:
+                self.sim.probe.collective_order(tag, self._position[tag])
             for gpu in range(self.num_gpus):
                 self._drain(gpu)
 
@@ -138,8 +130,7 @@ class CollectiveGuard:
     aborts the round is *abandoned*: everyone (including eventual late
     arrivals) gets :data:`ROUND_ABANDONED` and proceeds degraded —
     callers charge the round's duration but skip its wire bytes.
-    Every abort/abandon is a tracer instant, so watchdog activity is
-    visible on the timeline.
+    Every round outcome is a probe event, visible on the timeline.
 
     Workers use it via ``yield from``::
 
@@ -202,11 +193,10 @@ class CollectiveGuard:
             self._abandoned.add(tag)
             self.abandoned_rounds += 1
         outcome = ROUND_ABANDONED if abandoned else ROUND_ABORTED
-        if self.sim.tracer is not None:
-            verb = "abandon" if abandoned else "abort"
-            self.sim.tracer.instant(
-                self.name, f"{verb}:{tag}", self.sim.now,
-                cat="ccc", attempt=attempt, arrived=len(waiting),
+        if self.sim.probe is not None:
+            self.sim.probe.guard_round(
+                self, "abandon" if abandoned else "abort", tag,
+                attempt=attempt, arrived=len(waiting),
             )
         for p in waiting:
             self.sim.resume(p, outcome)
@@ -248,12 +238,10 @@ class _GuardArrive:
             for p in waiting:
                 sim.resume(p, ROUND_OK)
             g.rounds += 1
-            if sim.tracer is not None:
-                sim.tracer.instant(
-                    g.name, f"complete:{self.tag}", sim.now,
-                    cat="ccc", attempt=self.attempt,
-                    parties=self.n_expected,
-                )
+            if sim.probe is not None:
+                sim.probe.guard_round(g, "complete", self.tag,
+                                      attempt=self.attempt,
+                                      parties=self.n_expected)
             self.result = ROUND_OK
             return True
         if not waiting:

@@ -22,8 +22,8 @@ from typing import Any
 from repro.engine.simulator import Process, Simulator
 from repro.utils.errors import ReproError
 
-#: buffered gauge samples are flushed to the registry at this depth
-#: (and always at ``MetricsRegistry.finalize``)
+#: the probe's buffered utilization samples reach the metrics registry
+#: at this depth (and always at ``MetricsRegistry.finalize``)
 METRIC_FLUSH_EVERY = 256
 
 
@@ -31,46 +31,6 @@ class _Request:
     """Base: stores the synchronous result for the simulator to pick up."""
 
     result: Any = None
-
-
-class _UsageMetricsBuffer:
-    """Flat-array staging of a resource's utilization gauge samples.
-
-    Per ``used`` transition the hot path appends three floats instead
-    of running two window-splitting ``Gauge.set`` calls; the buffer is
-    flushed in bulk (:meth:`repro.metrics.registry.Gauge.set_many`,
-    vectorized per-window integration) every
-    :data:`METRIC_FLUSH_EVERY` samples and, via the registry's flusher
-    hook, before the registry finalizes or exports — so the exported
-    series are identical to the per-event path.
-    """
-
-    __slots__ = ("_util", "_busy", "_ts", "_utils", "_busys")
-
-    def __init__(self, registry, name: str):
-        self._util = registry.gauge("resource_util", resource=name)
-        self._busy = registry.gauge("resource_busy", resource=name)
-        self._ts: list[float] = []
-        self._utils: list[float] = []
-        self._busys: list[float] = []
-        registry.add_flusher(self.flush)
-
-    def add(self, t: float, util: float, busy: float) -> None:
-        ts = self._ts
-        ts.append(t)
-        self._utils.append(util)
-        self._busys.append(busy)
-        if len(ts) >= METRIC_FLUSH_EVERY:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._ts:
-            return
-        self._util.set_many(self._ts, self._utils)
-        self._busy.set_many(self._ts, self._busys)
-        self._ts = []
-        self._utils = []
-        self._busys = []
 
 
 class Resource:
@@ -88,8 +48,6 @@ class Resource:
         self._last_t = sim.now
         self._area = 0.0  # integral of used threads dt
         self._busy = 0.0  # integral of [used > 0] dt
-        # lazily bound metrics buffer (only when sim.metrics is set)
-        self._m_buf: _UsageMetricsBuffer | None = None
 
     # -- accounting ----------------------------------------------------
     def _account(self) -> None:
@@ -104,24 +62,6 @@ class Resource:
         self._area += self.used * dt
         self._busy += dt if self.used > 0 else 0.0
         self._last_t = self.sim.now
-
-    def _trace_used(self) -> None:
-        """Counter event on a ``used`` transition.  Callers guard with
-        ``if sim.tracer is not None`` to keep untraced runs call-free."""
-        self.sim.tracer.counter(self.name, "used", self.sim.now,
-                                used=self.used)
-
-    def _metric_used(self) -> None:
-        """Utilization gauges on a ``used`` transition.  Callers guard
-        with ``if sim.metrics is not None`` (zero-cost-off).  Samples
-        are staged in flat arrays and flushed to the registry in bulk,
-        not integrated per event (see :class:`_UsageMetricsBuffer`)."""
-        buf = self._m_buf
-        if buf is None:
-            buf = self._m_buf = _UsageMetricsBuffer(self.sim.metrics,
-                                                    self.name)
-        buf.add(self.sim.now, self.used / self.capacity,
-                1.0 if self.used else 0.0)
 
     def occupancy(self, total_time: float | None = None) -> float:
         """Mean fraction of capacity in use over the simulation."""
@@ -150,10 +90,8 @@ class Resource:
             raise ReproError(f"{self.name}: bad release of {n} (used={self.used})")
         self._account()
         self.used -= n
-        if self.sim.tracer is not None:
-            self._trace_used()
-        if self.sim.metrics is not None:
-            self._metric_used()
+        if self.sim.probe is not None:
+            self.sim.probe.resource_used(self)
         self._drain()
 
     def _drain(self) -> None:
@@ -163,10 +101,8 @@ class Resource:
             proc, n = self._waiters.popleft()
             self._account()
             self.used += n
-            if self.sim.tracer is not None:
-                self._trace_used()
-            if self.sim.metrics is not None:
-                self._metric_used()
+            if self.sim.probe is not None:
+                self.sim.probe.resource_used(self)
             self.sim.resume(proc)
 
 
@@ -180,10 +116,8 @@ class _Acquire(_Request):
         if not r._waiters and r.used + self.n <= r.capacity:
             r._account()
             r.used += self.n
-            if sim.tracer is not None:
-                r._trace_used()
-            if sim.metrics is not None:
-                r._metric_used()
+            if sim.probe is not None:
+                sim.probe.resource_used(r)
             return True
         proc.waiting_on = ("acquire", r.name, self.n)  # lazy label
         r._waiters.append((proc, self.n))
@@ -204,8 +138,6 @@ class BoundedQueue:
         self._getters: deque[Process] = deque()
         #: total items that passed through (metrics)
         self.total_put = 0
-        # lazily bound metrics instrument (only when sim.metrics is set)
-        self._m_depth = None
 
     def __len__(self) -> int:
         return len(self.items)
@@ -223,32 +155,8 @@ class BoundedQueue:
             self.sim.resume(getter, item)
         else:
             self.items.append(item)
-        if self.sim.invariants is not None:
-            self.sim.invariants.on_queue_push(
-                self.name, len(self.items), self.capacity
-            )
-        if self.sim.tracer is not None:
-            self._trace_depth()
-        if self.sim.metrics is not None:
-            self._metric_depth()
-
-    def _trace_depth(self) -> None:
-        """Queue-depth counter on a change.  Callers guard with
-        ``if sim.tracer is not None`` to keep untraced runs call-free."""
-        self.sim.tracer.counter(self.name, "depth", self.sim.now,
-                                depth=len(self.items),
-                                blocked_putters=len(self._putters),
-                                blocked_getters=len(self._getters))
-
-    def _metric_depth(self) -> None:
-        """Depth gauge on a change.  Callers guard with
-        ``if sim.metrics is not None`` (zero-cost-off)."""
-        depth = self._m_depth
-        if depth is None:
-            depth = self._m_depth = self.sim.metrics.gauge(
-                "queue_depth", queue=self.name
-            )
-        depth.set(self.sim.now, len(self.items))
+        if self.sim.probe is not None:
+            self.sim.probe.queue_push(self)
 
 
 @dataclass
@@ -280,11 +188,8 @@ class _Get(_Request):
                 putter, item = q._putters.popleft()
                 q._push(item)
                 sim.resume(putter)
-            else:
-                if sim.tracer is not None:
-                    q._trace_depth()
-                if sim.metrics is not None:
-                    q._metric_depth()
+            elif sim.probe is not None:
+                sim.probe.queue_depth(q)
             return True
         proc.waiting_on = ("get", q.name)  # lazy label
         q._getters.append(proc)
@@ -318,9 +223,8 @@ class _Arrive(_Request):
             del b._pending[self.tag]
             for p in waiting:
                 sim.resume(p)
-            if sim.tracer is not None:
-                sim.tracer.instant(b.name, f"release:{self.tag}", sim.now,
-                                   cat="rendezvous", parties=self.n_expected)
+            if sim.probe is not None:
+                sim.probe.barrier_release(b, self.tag, self.n_expected)
             return True  # last arrival proceeds immediately
         proc.waiting_on = ("barrier", b.name, self.tag)  # lazy label
         waiting.append(proc)

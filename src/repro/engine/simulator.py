@@ -30,8 +30,8 @@ pins the contract):
   the first event of a new timestamp pays the O(log d) heap push
   (``d`` = distinct pending times, the far-future fallback).  The run
   loop dispatches **all events of one timestamp as a single batch**:
-  one ``now`` update and one invariant ``on_event_time`` call per
-  distinct time instead of per event, with FIFO order preserved
+  one ``now`` update and one invariant clock check per distinct time
+  instead of per event, with FIFO order preserved
   because bucket appends happen in global scheduling order (what the
   legacy core's per-event sequence counter enforced).
 - the legacy **heap core** (``use_heap_scheduler=True``, or env
@@ -40,10 +40,11 @@ pins the contract):
   and as the reference the scheduler-equivalence tests compare the
   bucketed core against.
 
-The hot path allocates nothing when no tracer/metrics/invariant hook
-is attached: blocking diagnostics (``Process.waiting_on``) store the
-raw request and format the human-readable label lazily, only when
-deadlock forensics, ``__repr__`` or an attached tracer asks for it.
+The hot path allocates nothing when ``sim.probe`` (:mod:`repro.obs.probe`)
+is None — no tracer, metrics or invariant checker attached: blocking
+diagnostics (``Process.waiting_on``) store the raw request and format
+the label lazily, only when deadlock forensics, ``__repr__`` or an
+attached tracer asks for it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
-from repro.obs.tracer import wait_category
+from repro.obs.probe import Probe
 from repro.utils.errors import DeadlockError, ReproError
 
 
@@ -109,7 +110,7 @@ class Process:
         #: raw blocking-request descriptor; read the formatted label via
         #: :attr:`waiting_on` (diagnostics only — never on the hot path)
         self._wait: Any = None
-        # open wait-span bookkeeping; only touched when a tracer is set
+        # open wait-span bookkeeping; only touched by a tracing probe
         self.block_start: float = 0.0
         self.block_label: str | None = None
 
@@ -149,11 +150,13 @@ class Simulator:
     (``None``, the default, reads the ``REPRO_HEAP_SCHEDULER``
     environment variable, so whole suites can be replayed on the old
     core without code changes).  Both cores dispatch events in the
-    identical (time, scheduling-order) sequence.
+    identical (time, scheduling-order) sequence.  The optional
+    ``tracer``, ``metrics`` and ``invariants`` become :attr:`probe`.
     """
 
     def __init__(self, tracer=None, metrics=None,
-                 use_heap_scheduler: bool | None = None) -> None:
+                 use_heap_scheduler: bool | None = None,
+                 invariants=None) -> None:
         self.now: float = 0.0
         if use_heap_scheduler is None:
             use_heap_scheduler = _env_use_heap()
@@ -171,18 +174,11 @@ class Simulator:
         #: events dispatched so far (callbacks + process resumptions);
         #: the repository benchmark reports it as ``engine.events``
         self.events_processed: int = 0
-        #: optional :class:`repro.obs.Tracer`; when None (the default)
-        #: no trace event is ever allocated (every hook is guarded)
-        self.tracer = tracer
-        #: optional :class:`repro.metrics.MetricsRegistry`; when None
-        #: (the default) no metrics hook runs anywhere in the engine —
-        #: same zero-cost-off contract as the tracer
-        self.metrics = metrics
-        #: optional :class:`repro.chaos.InvariantChecker`; when None
-        #: (the default) no invariant hook runs anywhere in the engine.
-        #: Under the bucketed core ``on_event_time`` fires once per
-        #: distinct timestamp (a dispatch batch), not once per event.
-        self.invariants = None
+        #: the run's :class:`~repro.obs.probe.Probe`, or None when
+        #: nothing is attached — then no instrumentation runs anywhere
+        attached = (tracer, metrics, invariants)
+        self.probe = (Probe(self, *attached)
+                      if any(x is not None for x in attached) else None)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -227,17 +223,12 @@ class Simulator:
     def _step(self, proc: Process, value: Any) -> None:
         """Advance ``proc`` with ``value`` until it blocks or finishes.
 
-        The instrumented trampoline: closes/opens tracer wait spans.
-        Used whenever a tracer is attached, and always by the legacy
-        heap core (whose behaviour it preserves verbatim).
+        The instrumented trampoline: closes/opens wait spans through the
+        probe.  Used whenever a tracer is attached, and always by the
+        legacy heap core (whose behaviour it preserves verbatim).
         """
-        if self.tracer is not None and proc.block_label is not None:
-            self.tracer.span(
-                proc.name, proc.block_label,
-                cat=wait_category(proc.block_label),
-                start=proc.block_start, end=self.now,
-            )
-            proc.block_label = None
+        if proc.block_label is not None:  # set only by a tracing probe
+            self.probe.resumed(proc)
         proc._wait = None
         while True:
             gen = proc.stack[-1]
@@ -269,9 +260,8 @@ class Simulator:
                 # request completed synchronously; its result was stashed
                 value = getattr(request, "result", None)
                 continue
-            if self.tracer is not None:
-                proc.block_start = self.now
-                proc.block_label = proc.waiting_on
+            if self.probe is not None:
+                self.probe.blocked(proc)
             return  # blocked; the primitive will call resume()
 
     def _step_rare(self, proc: Process, request: Any) -> Any:
@@ -300,7 +290,7 @@ class Simulator:
         """Legacy core: one heap pop per event.  Returns False when the
         ``until`` cutoff was reached with events still pending."""
         step = self._step
-        inv = self.invariants
+        on_time = None if self.probe is None else self.probe.event_time
         heap = self._heap
         n = 0
         try:
@@ -312,8 +302,8 @@ class Simulator:
                 _, _, target, value = heapq.heappop(heap)
                 self.now = t
                 n += 1
-                if inv is not None:
-                    inv.on_event_time(t)
+                if on_time is not None:
+                    on_time(t)
                 if type(target) is Process:
                     step(target, value)
                 else:
@@ -324,8 +314,8 @@ class Simulator:
 
     def _drain_buckets(self, until: float | None) -> bool:
         """Bucketed core: dispatch all events of one timestamp as one
-        batch — a single ``now`` update and a single invariant
-        ``on_event_time`` call per distinct time.  Events scheduled *at*
+        batch — a single ``now`` update and a single invariant clock
+        check per distinct time.  Events scheduled *at*
         the batch's timestamp while it drains are appended to the live
         bucket and dispatched in the same pass, in scheduling order —
         exactly the (time, seq) order of the legacy heap.
@@ -342,8 +332,10 @@ class Simulator:
         :meth:`_step_rare`.  When a tracer is attached the instrumented
         :meth:`_step` drives processes instead.
         """
-        traced_step = self._step if self.tracer is not None else None
-        inv = self.invariants
+        probe = self.probe
+        traced_step = (self._step if probe is not None and probe.waits
+                       else None)
+        on_time = None if probe is None else probe.event_time
         times = self._times
         buckets = self._buckets
         pop = heapq.heappop
@@ -358,8 +350,8 @@ class Simulator:
                 pop(times)
                 batch = buckets[t]
                 self.now = t
-                if inv is not None:
-                    inv.on_event_time(t)
+                if on_time is not None:
+                    on_time(t)
                 i = 0
                 while i < len(batch):  # len() rechecked: same-t appends
                     target = batch[i]
@@ -427,26 +419,14 @@ class Simulator:
             drained = self._drain_heap(until)
         else:
             drained = self._drain_buckets(until)
-        if self.metrics is not None:
-            delta = self.events_processed - processed_before
-            if delta:
-                self.metrics.counter("engine_events").inc(self.now, delta)
+        if self.probe is not None:
+            # once drained, closes the wait spans of processes that
+            # never resumed: a deadlock's stall attribution survives
+            self.probe.run_end(self.events_processed - processed_before,
+                               drained, self._processes)
         if not drained:
             return self.now  # ``until`` cutoff; events still pending
 
-        if self.tracer is not None:
-            # close wait spans of processes that never resumed, so a
-            # deadlock's stall attribution survives into the trace
-            # (the Fig 8 forensics: who holds what, who waits on whom)
-            for p in self._processes:
-                if p.block_label is not None:
-                    self.tracer.span(
-                        p.name, p.block_label,
-                        cat=wait_category(p.block_label),
-                        start=p.block_start, end=self.now,
-                        unresolved=True,
-                    )
-                    p.block_label = None
         stuck = {p.name: p.waiting_on for p in self._processes
                  if not p.done and p._wait is not None}
         if stuck:

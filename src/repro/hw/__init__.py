@@ -22,7 +22,7 @@ allocator.  This package models exactly those facts:
 """
 
 from repro.hw.devices import GPUSpec, CPUSpec, Cluster
-from repro.hw.interconnect import Topology, LinkKind
+from repro.hw.interconnect import Topology
 from repro.hw.network import (
     NICSpec,
     ClusterTopology,
@@ -38,7 +38,6 @@ __all__ = [
     "CPUSpec",
     "Cluster",
     "Topology",
-    "LinkKind",
     "NICSpec",
     "ClusterTopology",
     "multi_server_cluster",

@@ -29,18 +29,12 @@ DGL-UVA scale poorly from 1 to 2 GPUs (§7.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 import numpy as np
 
 from repro.utils.errors import ConfigError
 from repro.utils.units import GB
-
-
-class LinkKind(Enum):
-    NVLINK = "nvlink"
-    PCIE = "pcie"
 
 
 #: unidirectional bandwidth of one NVLink 2.0 link (V100), bytes/s

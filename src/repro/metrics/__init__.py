@@ -4,15 +4,15 @@ The observability layer next to :mod:`repro.obs`: where the tracer
 retains every event for post-hoc timelines, the metrics registry
 *streams* — samples fold into fixed sim-time windows as they arrive,
 so per-window p50/p95/p99 come from bounded state however long the
-run.  Zero-cost when detached (the engine guards every hook with one
-``is not None`` check) and byte-identical across ``--workers``
-(window boundaries are a pure function of simulated time).
+run.  Zero-cost when detached (see :mod:`repro.obs.probe`) and
+byte-identical across ``--workers`` (window boundaries are a pure
+function of simulated time).
 
 See ``docs/observability.md`` for the metric/label schema, window
 semantics and SLO definitions.
 """
 
-from repro.metrics.export import to_csv, to_jsonl, to_prometheus, write_jsonl
+from repro.metrics.export import to_csv, to_jsonl, to_prometheus
 from repro.metrics.histogram import DEFAULT_GROWTH, LogHistogram
 from repro.metrics.quantile import nearest_rank, percentile, percentiles
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
@@ -36,6 +36,5 @@ __all__ = [
     "to_csv",
     "to_jsonl",
     "to_prometheus",
-    "write_jsonl",
     "write_report",
 ]

@@ -23,7 +23,7 @@ import json
 
 from repro.metrics.registry import Counter, Gauge, Histogram, MetricsRegistry
 
-__all__ = ["to_csv", "to_jsonl", "to_prometheus", "write_jsonl"]
+__all__ = ["to_csv", "to_jsonl", "to_prometheus"]
 
 
 def _prom_name(name: str) -> str:
@@ -134,11 +134,6 @@ def to_jsonl(registry: MetricsRegistry) -> str:
         json.dumps(row, sort_keys=True) + "\n"
         for row in _series_rows(registry)
     )
-
-
-def write_jsonl(registry: MetricsRegistry, path) -> None:
-    with open(path, "w") as f:
-        f.write(to_jsonl(registry))
 
 
 def to_csv(registry: MetricsRegistry) -> str:

@@ -1,14 +1,10 @@
 """The metrics registry: windowed counters, gauges and histograms.
 
 :class:`MetricsRegistry` mirrors the :class:`~repro.obs.Tracer`
-contract exactly: it is **passive** (callers pass explicit simulated
-timestamps — it never touches a clock), it is attached to a
-:class:`~repro.engine.simulator.Simulator` (``Simulator(metrics=...)``)
-or threaded through ``run_epoch(metrics=...)`` / ``GNNServer``, and
-when it is *not* attached every hook site in the engine is guarded by
-a single ``is not None`` check, so un-instrumented runs allocate no
-metrics object anywhere and stay bit-identical to the seed — the
-zero-cost-off guarantee the bit-identity tests pin.
+contract: it is **passive** (callers pass explicit simulated
+timestamps — it never touches a clock) and is attached like one
+(``Simulator(metrics=...)``, ``run_epoch(metrics=...)``, ``GNNServer``);
+the simulator's probe (:mod:`repro.obs.probe`) decides what it records.
 
 Unlike the tracer (which retains every event for post-hoc timeline
 analysis), the registry *streams*: samples fold into fixed sim-time

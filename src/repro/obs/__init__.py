@@ -2,8 +2,9 @@
 
 Attach a :class:`Tracer` to the discrete-event engine (or pass one to
 ``TrainingSystem.run_epoch``) to record span/instant/counter events
-while a simulated epoch runs; export the result as Chrome trace-event
-JSON (Perfetto / ``chrome://tracing``) or plain text; and compute the
+while a simulated epoch runs, through the engine's :class:`Probe`;
+export the result as Chrome trace-event JSON (Perfetto /
+``chrome://tracing``) or plain text; and compute the
 per-GPU busy/stall breakdown and the epoch's critical path.  See
 ``docs/observability.md`` for the event schema and the CLI entry point
 (``python -m repro trace``).
@@ -17,6 +18,7 @@ from repro.obs.tracer import (
     WAIT_CATEGORIES,
     wait_category,
 )
+from repro.obs.probe import Probe
 from repro.obs.export import (
     read_chrome_trace,
     run_trace_path,
@@ -37,6 +39,7 @@ from repro.obs.analysis import (
 )
 
 __all__ = [
+    "Probe",
     "Tracer",
     "SpanEvent",
     "InstantEvent",

@@ -17,10 +17,8 @@ The tracer is deliberately passive: callers pass explicit timestamps
 (the simulator's ``now``), so it never touches the clock and works for
 both live simulation and post-hoc annotation.  Attach one to a
 :class:`~repro.engine.simulator.Simulator` (or pass it down through
-:meth:`repro.core.system.TrainingSystem.run_epoch`) and every engine
-primitive reports into it.  When no tracer is attached the engine
-allocates **zero** event objects — every hook site is guarded by a
-single ``is not None`` check — so benchmarks are unaffected.
+:meth:`repro.core.system.TrainingSystem.run_epoch`); the simulator's
+probe (:mod:`repro.obs.probe`) decides what each event records.
 
 Export with :mod:`repro.obs.export` (Chrome trace-event JSON for
 Perfetto / ``chrome://tracing``, or a plain-text timeline) and analyse

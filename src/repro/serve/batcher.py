@@ -95,9 +95,6 @@ class AdmissionBatcher:
         self._waiter: Process | None = None
         #: deadline of the armed timeout timer (None = no timer in flight)
         self._timer_deadline: float | None = None
-        # lazily bound metrics instruments (only when sim.metrics is set)
-        self._m_depth = None
-        self._m_shed = None
 
     # -- producer side (arrivals process) ------------------------------
     def offer(self, req: Request) -> bool:
@@ -114,15 +111,8 @@ class AdmissionBatcher:
         self.pending.append(req)
         if tenants is not None and req.tenant is not None:
             tenants.pending[req.tenant] += 1
-            if self.sim.invariants is not None:
-                self.sim.invariants.on_admit(
-                    self.name, req.tenant, tenants.pending[req.tenant],
-                    tenants.quota_slots[req.tenant],
-                )
-        if self.sim.tracer is not None:
-            self._trace_depth()
-        if self.sim.metrics is not None:
-            self._metric_depth()
+        if self.sim.probe is not None:
+            self.sim.probe.admit(self, req)
         self._service()
         return True
 
@@ -167,21 +157,8 @@ class AdmissionBatcher:
     def _shed(self, req: Request, reason: str) -> bool:
         self.shed.append(req)
         self.last_shed_reason = reason
-        if self.sim.tracer is not None:
-            self.sim.tracer.instant(
-                self.name, "shed", self.sim.now, cat="shed", rid=req.rid
-            )
-        if self.sim.metrics is not None:
-            shed = self._m_shed
-            if shed is None:
-                shed = self._m_shed = self.sim.metrics.counter(
-                    "requests_shed", gpu=self.gpu
-                )
-            shed.inc(self.sim.now)
-            if reason != "capacity":
-                self.sim.metrics.counter(
-                    "requests_shed_reason", reason=reason
-                ).inc(self.sim.now)
+        if self.sim.probe is not None:
+            self.sim.probe.shed(self, req, reason)
         return False
 
     def _ready(self) -> bool:
@@ -200,10 +177,8 @@ class AdmissionBatcher:
             for req in batch:
                 if req.tenant is not None:
                     tenants.pending[req.tenant] -= 1
-        if self.sim.tracer is not None:
-            self._trace_depth()
-        if self.sim.metrics is not None:
-            self._metric_depth()
+        if self.sim.probe is not None:
+            self.sim.probe.admission_depth(self)
         return batch
 
     def _service(self) -> None:
@@ -243,22 +218,6 @@ class AdmissionBatcher:
             self.sim.resume(proc, self._pop_batch())
             return
         self._service()
-
-    def _trace_depth(self) -> None:
-        self.sim.tracer.counter(
-            self.name, "depth", self.sim.now,
-            depth=len(self.pending), shed=len(self.shed),
-        )
-
-    def _metric_depth(self) -> None:
-        """Admission-depth gauge on a change.  Callers guard with
-        ``if sim.metrics is not None`` (zero-cost-off)."""
-        depth = self._m_depth
-        if depth is None:
-            depth = self._m_depth = self.sim.metrics.gauge(
-                "admission_depth", gpu=self.gpu
-            )
-        depth.set(self.sim.now, len(self.pending))
 
 
 @dataclass

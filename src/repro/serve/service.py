@@ -28,12 +28,6 @@ and — for collectives — one of its communication channels.  Remote
 GPUs' transient participation in a batch's all-to-alls is charged to
 the batch's latency but not modelled as SM contention on the peers;
 concurrent batches on one GPU do contend for its SMs and channels.
-
-With a :class:`~repro.obs.Tracer` attached the run emits op spans
-(tagged gpu/stage/batch), wait spans, SM/channel/queue-depth counters,
-admission-depth counters and shed instants; with no tracer attached no
-event object is allocated anywhere (same zero-cost-off guarantee as
-the training pipeline).
 """
 
 from __future__ import annotations
@@ -127,16 +121,12 @@ class GNNServer:
                  tracer=None, metrics=None, injector=None, invariants=None):
         self.system = system
         self.config = config if config is not None else ServeConfig()
+        # optional instruments and fault injector (chaos perturbs the
+        # replay: stragglers, link faults, lost cache peers)
         self.tracer = tracer
-        #: optional :class:`repro.metrics.MetricsRegistry` — streams
-        #: per-stage latency/batch/queue/shed/cache series into fixed
-        #: sim-time windows (zero-cost when None, like the tracer)
         self.metrics = metrics
-        #: optional :class:`repro.chaos.FaultInjector` (straggler /
-        #: link faults and lost cache peers perturb the serve replay)
-        self.injector = injector
-        #: optional :class:`repro.chaos.InvariantChecker`
         self.invariants = invariants
+        self.injector = injector
         self.k = system.k
         numbering = getattr(system, "numbering", None)
         self._old_to_new = None if numbering is None else numbering.old_to_new
@@ -175,35 +165,18 @@ class GNNServer:
                 from repro.metrics import MetricsRegistry
 
                 met = MetricsRegistry(window_s=cfg.slo_s)
-            controller = ServeController(cfg.controller, cfg, met,
-                                         tracer=self.tracer)
+            controller = ServeController(cfg.controller, cfg, met)
         if cfg.tenancy is not None:
             requests = cfg.tenancy.assign(requests)
-        sim = Simulator(tracer=self.tracer, metrics=met)
-        tracer = self.tracer
+        sim = Simulator(tracer=self.tracer, metrics=met,
+                        invariants=self.invariants)
+        probe = sim.probe
         inj = self.injector
-        if self.invariants is not None:
-            sim.invariants = self.invariants
         if inj is not None:
             inj.install(sim)
         plan_cache = getattr(system.loader, "plan_cache", None)
         # failover loaders per lost-peer set, built lazily on first use
         failover_loaders: dict = {}
-
-        # pre-bound metrics instruments (hot-path hooks below are all
-        # guarded by ``met is not None`` — zero-cost when detached)
-        m_lat = m_batch = m_done = m_viol = m_degr = None
-        m_stage: dict = {}
-        if met is not None:
-            m_lat = met.histogram("request_latency")
-            m_stage = {
-                s: met.histogram("stage_latency", stage=s)
-                for s in ("queue", "batch") + SERVE_STAGES
-            }
-            m_batch = met.histogram("batch_size")
-            m_done = met.counter("requests_completed")
-            m_viol = met.counter("slo_violations")
-            m_degr = met.counter("requests_degraded")
 
         threads = [
             Resource(sim, system.cluster.gpu.total_threads,
@@ -276,10 +249,8 @@ class GNNServer:
                 threads[g].release(footprint)
                 if cost.collective:
                     channels[g].release(1)
-            if tracer is not None:
-                tracer.span(track, cost.label, cat=stage, start=t0,
-                            end=sim.now, gpu=g, stage=stage, batch=bid,
-                            collective=cost.collective)
+            if probe is not None:
+                probe.serve_op_done(track, cost, stage, bid, g, t0)
 
         def arrivals():
             for req in requests:
@@ -310,11 +281,8 @@ class GNNServer:
                     rec = records[r.rid]
                     rec.batch_id = bid
                     rec.close = sim.now
-                if tracer is not None:
-                    tracer.instant(f"batcher-gpu{g}", "batch-close", sim.now,
-                                   cat="batch", batch=bid, size=len(reqs))
-                if met is not None:
-                    m_batch.observe(sim.now, len(reqs))
+                if probe is not None:
+                    probe.batch_closed(g, bid, len(reqs))
                 yield sampleq[g].put(batch)
 
         def sampler(g: int):
@@ -358,41 +326,16 @@ class GNNServer:
                     feats, trace, stats = failover.load(
                         reqs, gather=cfg.functional)
                     batch.degraded = True
-                    if tracer is not None:
-                        tracer.instant(track, "degraded-load", sim.now,
-                                       cat="chaos", batch=batch.bid,
-                                       lost=sorted(lost))
+                    if probe is not None:
+                        probe.degraded_load(track, batch.bid, lost)
                 else:
                     feats, trace, stats = system._load(
                         reqs, gather=cfg.functional)
                 for cost in system.engine.trace_cost(trace):
                     yield from run_op(g, cost, "load", batch.bid, track)
-                if tracer is not None and plan_cache is not None:
-                    tracer.counter("plan-cache", "plan-cache", sim.now,
-                                   hits=plan_cache.hits,
-                                   misses=plan_cache.misses)
                 dyn = stats.pop("dynamic", None)
-                if met is not None:
-                    for path, n in stats.items():
-                        if n:
-                            met.counter("feature_requests", path=path).inc(
-                                sim.now, n
-                            )
-                    hits = stats["local"] + stats["remote"]
-                    if hits:
-                        met.counter("cache_hit").inc(sim.now, hits)
-                    if dyn is not None:
-                        if dyn["promoted"]:
-                            met.counter("cache_promote").inc(
-                                sim.now, dyn["promoted"])
-                        if dyn["demoted"]:
-                            met.counter("cache_demote").inc(
-                                sim.now, dyn["demoted"])
-                    if plan_cache is not None:
-                        met.gauge("plan_cache_hits").set(
-                            sim.now, plan_cache.hits)
-                        met.gauge("plan_cache_misses").set(
-                            sim.now, plan_cache.misses)
+                if probe is not None:
+                    probe.load_done(stats, dyn, plan_cache)
                 batch.feats = feats
                 batch.stages["load"] = sim.now - t0
                 yield computeq[g].put(batch)
@@ -429,29 +372,13 @@ class GNNServer:
                     }
                     if preds is not None:
                         rec.prediction = int(preds[i])
-                    if met is not None:
-                        lat = rec.latency
-                        m_lat.observe(sim.now, lat)
-                        m_done.inc(sim.now)
-                        # the SLO boundary is decided here, on the exact
-                        # latency — never re-derived from bucketed state
-                        if lat > cfg.slo_s:
-                            m_viol.inc(sim.now)
-                        if batch.degraded:
-                            m_degr.inc(sim.now)
-                        for stage, dur in rec.stages.items():
-                            m_stage[stage].observe(sim.now, dur)
+                    if probe is not None:
+                        probe.request_done(rec, cfg.slo_s)
                 if remaining is not None:
                     remaining[0] -= len(batch.requests)
 
-        if tracer is not None:
-            if plan_cache is not None:
-                tracer.declare_track("plan-cache", group="cache", sort=0)
-            for g in range(k):
-                tracer.declare_track(f"batcher-gpu{g}", group=f"gpu{g}", sort=0)
-                tracer.declare_track(f"sampler-gpu{g}", group=f"gpu{g}", sort=1)
-                tracer.declare_track(f"loader-gpu{g}", group=f"gpu{g}", sort=2)
-                tracer.declare_track(f"infer-gpu{g}", group=f"gpu{g}", sort=3)
+        if probe is not None:
+            probe.serve_begin(k, plan_cache, ("queue", "batch") + SERVE_STAGES)
         sim.spawn(arrivals(), name="arrivals")
         for g in range(k):
             sim.spawn(feeder(g), name=f"batcher-gpu{g}")
@@ -459,8 +386,6 @@ class GNNServer:
             sim.spawn(loader(g), name=f"loader-gpu{g}")
             sim.spawn(compute(g), name=f"infer-gpu{g}")
         sim.run()
-        if met is not None:
-            met.finalize(sim.now)
 
         ordered = [records[r.rid] for r in requests]
         accuracy = float("nan")

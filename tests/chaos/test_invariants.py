@@ -126,3 +126,46 @@ class TestSummary:
         inv.on_queue_push("q", 0, 2)
         inv.on_launch(0, "t", 0)
         assert inv.checks == before + 3
+
+
+class TestViolationTimelines:
+    """A checker installed on a simulator annotates each violation onto
+    that simulator's tracer and metrics registry."""
+
+    @staticmethod
+    def overfilled_run():
+        from repro.engine import BoundedQueue, Simulator
+        from repro.engine.simulator import Timeout
+        from repro.metrics import MetricsRegistry
+        from repro.obs import Tracer
+
+        tracer, registry = Tracer(), MetricsRegistry(window_s=1.0)
+        inv = InvariantChecker(strict=False)
+        sim = Simulator(tracer=tracer, metrics=registry, invariants=inv)
+        q = BoundedQueue(sim, 1, name="q")
+
+        def overfill():
+            yield Timeout(0.5)
+            yield q.put("a")
+            q._push("b")  # bypasses the capacity check a put makes
+
+        sim.spawn(overfill())
+        sim.run()
+        return inv, tracer, registry
+
+    def test_queue_bound_violation_on_both_timelines(self):
+        inv, tracer, registry = self.overfilled_run()
+        assert len(inv.violations) == 1 and "queue-bound" in inv.violations[0]
+        marks = [(ev.ts, ev.track, ev.args["detail"]) for ev in tracer.events
+                 if ev.name == "violation:queue-bound"]
+        assert marks == [(0.5, "chaos", "queue q holds 2 items > capacity 1")]
+        assert [(t, name) for t, name, _ in registry.events] == [
+            (0.5, "violation:queue-bound")]
+
+    def test_end_of_run_violation_also_annotated(self):
+        inv, tracer, registry = self.overfilled_run()
+        inv.finalize(expected_bytes={"nvlink": 1.0})
+        assert [name for _, name, _ in registry.events] == [
+            "violation:queue-bound", "violation:link-bytes"]
+        assert sum(ev.name == "violation:link-bytes"
+                   for ev in tracer.events) == 1

@@ -162,12 +162,29 @@ class TestCLI:
         ["--batch-max", "0"],
         ["--queue-capacity", "0"],
         ["--batch-timeout-ms", "-1"],
+        ["--metrics", "--metrics-window-ms", "0"],
+        ["--metrics", "--metrics-window-ms", "-1"],
+        ["--tenants", "-1"],
+        ["--cache-warmup", "-1"],
     ], ids=["scale-range", "qps", "zero-replicas", "fanout", "zero-qps",
-            "zero-batch-max", "zero-queue", "negative-timeout"])
+            "zero-batch-max", "zero-queue", "negative-timeout",
+            "zero-window", "negative-window", "negative-tenants",
+            "negative-warmup"])
     def test_serve_bad_input_is_one_line_error(self, capsys, bad):
         assert main(["serve", *ARGS, "--requests", "8", *bad]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--metrics-window-ms", "0"), ("--metrics-window-ms", "-1"),
+        ("--tenants", "-1"), ("--cache-warmup", "-1"),
+    ])
+    def test_count_and_window_errors_name_flag_and_value(self, capsys, flag,
+                                                         value):
+        assert main(["serve", *ARGS, "--requests", "8", "--metrics",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert flag in err and f"got {value}" in err
 
     def test_qps_error_names_flag_and_value(self, capsys):
         assert main(["serve", *ARGS, "--requests", "8",
