@@ -203,7 +203,9 @@ def _cache_dir() -> Path:
 
     Benchmarks spawn many processes; regenerating the multi-million-edge
     graphs each time would dominate runtime, so generation results are
-    stored as ``.npz`` keyed by the spec.  Override with ``REPRO_DATA_DIR``.
+    stored as uncompressed ``.npz`` (loading skips a decompression pass
+    that would cost most of a load) keyed by the spec and the file
+    format.  Override with ``REPRO_DATA_DIR``.
     """
     return Path(os.environ.get("REPRO_DATA_DIR", Path.home() / ".cache" / "repro-dsp"))
 
@@ -212,14 +214,14 @@ def _spec_key(spec: DatasetSpec) -> str:
     return (
         f"{spec.name}-n{spec.num_nodes}-e{spec.num_edges}-f{spec.feature_dim}"
         f"-c{spec.num_classes}-p{spec.intra_prob}-w{spec.power}"
-        f"-x{spec.theta_cap_exp}-s{spec.seed}-t{spec.train_fraction}-v1"
+        f"-x{spec.theta_cap_exp}-s{spec.seed}-t{spec.train_fraction}-v2"
     )
 
 
 def _save(path: Path, ds: Dataset) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(
+    np.savez(
         tmp,
         indptr=ds.graph.indptr,
         indices=ds.graph.indices,

@@ -26,6 +26,17 @@ from repro.graph.csr import CSRGraph
 from repro.utils.errors import PartitionError
 from repro.utils.rng import make_rng
 
+#: LDG part capacity, as a multiple of the ideal part size
+LDG_SLACK = 1.05
+#: METIS balance cap: max part weight <= IMBALANCE * ideal
+IMBALANCE = 1.05
+#: refinement passes per level (a pass that moves nothing ends them)
+REFINE_PASSES = 8
+#: greedy-matching visits whose picks are computed in one numpy pass
+_GREEDY_CHUNK = 128
+#: bits a packed (row, col, weight) sort key may use (int64 minus sign)
+_KEY_BITS = 63
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -95,14 +106,13 @@ def ldg_partition(
     graph: CSRGraph,
     num_parts: int,
     rng: np.random.Generator | int | None = None,
-    slack: float = 1.05,
 ) -> Partition:
     """Linear Deterministic Greedy streaming partitioning.
 
     One pass over the nodes (random order): each node joins the part
     holding most of its already-placed neighbours, discounted by how
     full the part is — ``score = |N(v) in part| * (1 - size/capacity)``
-    [Stanton & Kluot, KDD'12].  Far cheaper than multilevel partitioning
+    [Stanton & Kliot, KDD'12].  Far cheaper than multilevel partitioning
     (a single pass, no coarsening) at somewhat worse cut quality; the
     practical choice when the graph itself arrives as a stream.
     """
@@ -112,7 +122,7 @@ def ldg_partition(
         raise PartitionError("more parts than nodes")
     rng = make_rng(rng)
     n = graph.num_nodes
-    capacity = slack * n / num_parts
+    capacity = LDG_SLACK * n / num_parts
     assignment = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(num_parts, dtype=np.float64)
     indptr, indices = graph.indptr, graph.indices
@@ -134,17 +144,18 @@ def ldg_partition(
 # ----------------------------------------------------------------------
 # multilevel partitioner
 # ----------------------------------------------------------------------
+# Every kernel below is exact: adjacency weights are integer-valued
+# float64 (edge counts and sums of them), so any summation order gives
+# the same float, and the random draws are the ones a plain sequential
+# implementation makes, in the same order.
 def metis_partition(
     graph: CSRGraph,
     num_parts: int,
     rng: np.random.Generator | int | None = None,
-    imbalance: float = 1.05,
-    coarsest_size: int | None = None,
-    refine_passes: int = 8,
 ) -> Partition:
     """METIS-like multilevel k-way partitioning.
 
-    Minimizes the edge cut subject to ``max part weight <= imbalance *
+    Minimizes the edge cut subject to ``max part weight <= IMBALANCE *
     ideal`` (node weight = number of original nodes collapsed into a
     coarse node, so balance refers to *original* node counts, which is
     what DSP needs: equal patches per GPU).
@@ -159,8 +170,7 @@ def metis_partition(
 
     adj = _symmetrized_adjacency(graph)
     node_w = np.ones(graph.num_nodes, dtype=np.int64)
-    if coarsest_size is None:
-        coarsest_size = max(64 * num_parts, 256)
+    coarsest_size = max(64 * num_parts, 256)
 
     # ---- coarsening phase ------------------------------------------------
     levels: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = []
@@ -173,14 +183,12 @@ def metis_partition(
 
     # ---- initial partition on coarsest graph -----------------------------
     assignment = _greedy_growing(adj, node_w, num_parts, rng)
-    assignment = _refine(adj, node_w, assignment, num_parts, imbalance, refine_passes, rng)
+    assignment = _refine(adj, node_w, assignment, num_parts, rng)
 
     # ---- uncoarsening + refinement ---------------------------------------
-    for fine_adj, fine_w, mapping in reversed(levels):
-        assignment = assignment[mapping]
-        assignment = _refine(
-            fine_adj, fine_w, assignment, num_parts, imbalance, refine_passes, rng
-        )
+    while levels:  # popping frees each coarse level once a finer one takes over
+        fine_adj, fine_w, mapping = levels.pop()
+        assignment = _refine(fine_adj, fine_w, assignment[mapping], num_parts, rng)
 
     return Partition(assignment, num_parts)
 
@@ -188,24 +196,78 @@ def metis_partition(
 def _symmetrized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     """Undirected weighted adjacency: weight = #directed edges between the pair."""
     n = graph.num_nodes
-    # scipy indexes with int32 whenever the shape allows; building the
-    # COO in that dtype saves it an int64 copy of every index
-    idx = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    dst = np.repeat(np.arange(n, dtype=idx), graph.degrees)
-    src = graph.indices.astype(idx)
-    keep = dst != src  # self-loops carry no cut weight
-    dst, src = dst[keep], src[keep]
-    # both directions in one COO; tocsr() sums the duplicates, so each
-    # pair's weight counts its edges either way — the entries of
-    # A + A.T with the diagonal dropped
-    rows = np.concatenate([dst, src])
-    cols = np.concatenate([src, dst])
-    del dst, src, keep
-    data = np.ones(len(rows), dtype=np.float64)
-    a = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    # summing duplicates leaves views into the pre-sum buffers; the
-    # copy frees them before coarsening, which holds every level
-    return a.copy()
+    dst = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    # both directions, duplicates summed and self-loops (no cut weight)
+    # dropped: the entries of A + A.T off the diagonal
+    return _coalesce(
+        np.concatenate([dst, graph.indices]), np.concatenate([graph.indices, dst]), n
+    )
+
+
+def _coalesce(
+    rows: np.ndarray, cols: np.ndarray, n: int, weights: np.ndarray | None = None
+) -> sp.csr_matrix:
+    """``n x n`` CSR of the off-diagonal entries, duplicate pairs summed.
+
+    ``rows`` and ``cols`` are int64 and are overwritten; ``weights`` are
+    integer-valued (default: 1 per entry).  The result is the canonical
+    CSR scipy's COO -> CSR conversion builds (sorted indices, one entry
+    per pair, int32 indices while they fit), from one sort: each entry
+    is packed into an int64 key ``row | col | weight``, so after an
+    in-place sort a pair's entries are adjacent and carry their weights
+    along.  Keys wider than ``_KEY_BITS`` fall back to a stable argsort
+    of the ``row | col`` key.
+    """
+    keep = rows != cols
+    nnz = int(np.count_nonzero(keep))
+    col_bits = max(n - 1, 0).bit_length()
+    if 2 * col_bits > 63:
+        raise PartitionError(f"{n} nodes: (row, col) keys overflow int64")
+    w_bits = 0 if weights is None or nnz == 0 else int(weights.max()).bit_length()
+    rows <<= col_bits
+    rows |= cols
+    del cols
+    if 2 * col_bits + w_bits <= _KEY_BITS:
+        key = rows
+        key <<= w_bits
+        if weights is not None:
+            key |= weights.astype(np.int64)
+        del rows
+        key = key[keep]
+        key.sort()
+        if weights is not None:
+            weights = key & ((1 << w_bits) - 1)
+            key >>= w_bits
+    else:
+        key = rows[keep]
+        del rows
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        if weights is not None:
+            weights = weights[keep][order]
+    # key: sorted (row, col) of every entry; a pair's weight is its
+    # first entry plus its repeats (few: most pairs occur once)
+    first = _run_heads(key)
+    repeats = np.flatnonzero(~first)
+    repeated = key[repeats]
+    key = key[first]
+    if weights is None:
+        data, extra = np.ones(len(key)), 1.0
+    else:  # float repeats take add.at's fast path
+        data, extra = weights[first].astype(np.float64), weights[repeats].astype(np.float64)
+    np.add.at(data, np.searchsorted(key, repeated), extra)
+    idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.searchsorted(key, np.arange(n + 1) << col_bits).astype(idx)
+    indices = (key & ((1 << col_bits) - 1)).astype(idx)
+    return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _run_heads(key: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal values in ``key``."""
+    first = np.empty(len(key), dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return first
 
 
 def _heavy_edge_matching(
@@ -221,16 +283,21 @@ def _heavy_edge_matching(
     n = adj.shape[0]
     matched_with = np.full(n, -1, dtype=np.int64)
     indptr, indices, data = adj.indptr, adj.indices, adj.data
+    deg = np.diff(indptr)
+    nonempty = np.flatnonzero(deg)
 
-    for _ in range(2):
+    for round_ in range(2):
         free = matched_with < 0
         if not free.any():
             break
         # jitter weights so argmax tie-breaking varies per round
-        jitter = rng.random(len(data)) * 1e-6
-        choice = _rowwise_argmax_neighbor(
-            indptr, indices, data + jitter, eligible=free
-        )
+        # (in place: data + rng.random(nnz) * 1e-6, bit for bit)
+        w = rng.random(len(data))
+        w *= 1e-6
+        w += data
+        if round_:  # only free neighbours are eligible
+            w[~free[indices]] = -np.inf
+        choice = _rowwise_argmax_neighbor(indptr, indices, w, deg, nonempty)
         # a nomination is valid only from a free node to a free node
         choice[~free] = -1
         valid = choice >= 0
@@ -245,20 +312,7 @@ def _heavy_edge_matching(
     # (everyone nominates the same hubs), so finish with a sequential
     # greedy pass: visit remaining free nodes in random order, match each
     # with its heaviest still-free neighbour.
-    free_nodes = rng.permutation(np.flatnonzero(matched_with < 0))
-    for v in free_nodes:
-        if matched_with[v] >= 0:
-            continue
-        lo, hi = indptr[v], indptr[v + 1]
-        nbrs = indices[lo:hi]
-        ok = matched_with[nbrs] < 0
-        ok &= nbrs != v
-        if not ok.any():
-            continue
-        cand = nbrs[ok]
-        u = int(cand[np.argmax(data[lo:hi][ok])])
-        matched_with[v] = u
-        matched_with[u] = v
+    _greedy_matching(adj, matched_with, rng.permutation(np.flatnonzero(matched_with < 0)))
 
     # canonical representative = min(v, match(v)); vectorized relabel
     rep = np.where(matched_with >= 0, np.minimum(np.arange(n), matched_with), np.arange(n))
@@ -269,39 +323,105 @@ def _heavy_edge_matching(
 def _rowwise_argmax_neighbor(
     indptr: np.ndarray,
     indices: np.ndarray,
-    data: np.ndarray,
-    eligible: np.ndarray,
+    w: np.ndarray,
+    deg: np.ndarray,
+    nonempty: np.ndarray,
 ) -> np.ndarray:
-    """For each row, the eligible neighbour with maximum weight (-1 if none)."""
+    """For each row, a neighbour of maximum finite weight (-1 if none).
+
+    ``w`` is -inf at ineligible entries; ``nonempty`` lists the rows
+    with ``deg > 0``.  Ties go to the last maximal entry of the row.
+    """
     n = len(indptr) - 1
     out = np.full(n, -1, dtype=np.int64)
-    w = np.where(eligible[indices], data, -np.inf)
-    deg = np.diff(indptr)
-    nonempty = np.flatnonzero(deg > 0)
     if len(nonempty) == 0:
         return out
-    # O(nnz) row maxima via reduceat, then scatter any position attaining
-    # the row max (ties are equivalent for matching purposes).
     rowmax = np.full(n, -np.inf)
     rowmax[nonempty] = np.maximum.reduceat(w, indptr[nonempty])
-    row_of = np.repeat(np.arange(n, dtype=np.int64), deg)
-    cand = np.flatnonzero(np.isfinite(w) & (w == rowmax[row_of]))
-    out[row_of[cand]] = indices[cand]
+    cand = np.flatnonzero(w == np.repeat(rowmax, deg))
+    out[np.searchsorted(indptr, cand, side="right") - 1] = indices[cand]
+    out[rowmax == -np.inf] = -1  # every neighbour ineligible
     return out
+
+
+def _greedy_matching(
+    adj: sp.csr_matrix, matched_with: np.ndarray, visits: np.ndarray
+) -> None:
+    """Sequential greedy matching, in place: each free node of ``visits``,
+    in order, takes its first heaviest still-free neighbour (CSR order).
+
+    Visits run in chunks.  One numpy pass computes every visitor's pick
+    against the free set at chunk start; the chunk is then walked in
+    order.  Nodes only ever go from free to taken, so a pick that is
+    still free when its visitor comes up is the sequential pick too; a
+    pick taken earlier in the same chunk is recomputed for that node.
+    """
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
+    free = matched_with < 0
+    isolated = np.diff(indptr) == 0
+    for lo in range(0, len(visits), _GREEDY_CHUNK):
+        chunk = visits[lo : lo + _GREEDY_CHUNK]
+        chunk = chunk[free[chunk] & ~isolated[chunk]]
+        picks = _first_heaviest_free(indptr, indices, data, free, chunk)
+        for v, u in zip(chunk.tolist(), picks.tolist()):
+            if u < 0 or not free[v]:
+                continue
+            if not free[u]:
+                a, b = indptr[v], indptr[v + 1]
+                nbrs = indices[a:b]
+                ok = free[nbrs]
+                if not ok.any():
+                    continue
+                u = int(nbrs[ok][np.argmax(data[a:b][ok])])
+            free[v] = free[u] = False
+            matched_with[v] = u
+            matched_with[u] = v
+
+
+def _first_heaviest_free(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    free: np.ndarray,
+    rows: np.ndarray,
+) -> np.ndarray:
+    """For each of the non-empty ``rows``, its first maximum-weight free
+    neighbour in CSR order (-1 if none is free)."""
+    picks = np.full(len(rows), -1, dtype=np.int64)
+    if len(rows) == 0:
+        return picks
+    pos, deg = _row_positions(indptr, rows)
+    nbrs = indices[pos]
+    ok = free[nbrs]
+    w = np.where(ok, data[pos], -np.inf)
+    starts = np.cumsum(deg) - deg
+    hit = w == np.repeat(np.maximum.reduceat(w, starts), deg)
+    hit &= ok
+    hit = np.flatnonzero(hit)
+    # hits are in row order: keep the first of each row's run
+    row = np.searchsorted(starts, hit, side="right") - 1
+    first = _run_heads(row)
+    picks[row[first]] = nbrs[hit[first]]
+    return picks
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the CSR arrays of ``rows``' entries, row after row,
+    and each row's entry count."""
+    lo = indptr[rows].astype(np.int64)
+    deg = indptr[rows + 1] - lo
+    ends = np.cumsum(deg)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(lo - (ends - deg), deg), deg
 
 
 def _contract(
     adj: sp.csr_matrix, node_w: np.ndarray, mapping: np.ndarray, n_coarse: int
 ) -> tuple[sp.csr_matrix, np.ndarray]:
     """Collapse matched pairs; edge weights between coarse nodes are summed."""
-    coo = adj.tocoo()
-    rows = mapping[coo.row]
-    cols = mapping[coo.col]
-    keep = rows != cols
-    coarse = sp.coo_matrix(
-        (coo.data[keep], (rows[keep], cols[keep])), shape=(n_coarse, n_coarse)
-    ).tocsr()
-    coarse.sum_duplicates()
+    coarse = _coalesce(
+        np.repeat(mapping, np.diff(adj.indptr)), mapping[adj.indices], n_coarse, adj.data
+    )
     coarse_w = np.bincount(mapping, weights=node_w, minlength=n_coarse).astype(np.int64)
     return coarse, coarse_w
 
@@ -354,35 +474,34 @@ def _refine(
     node_w: np.ndarray,
     assignment: np.ndarray,
     num_parts: int,
-    imbalance: float,
-    passes: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Balance-constrained boundary refinement.
 
-    Each pass computes, for every node, its connectivity to every part
-    (one sparse matmul), then greedily moves positive-gain boundary
-    nodes in random order while keeping every part under the balance
-    cap.  Severely overweight parts are also drained by moving their
-    best boundary nodes out even at zero/negative gain.
+    Each pass reads, for every node, its connectivity to every part,
+    then greedily moves positive-gain boundary nodes in random order
+    while keeping every part under the balance cap.  Severely
+    overweight parts are also drained by moving their best boundary
+    nodes out even at zero/negative gain.  The connectivity is built
+    once and then updated from the moved nodes' rows alone.
     """
-    n = adj.shape[0]
+    n, k = adj.shape[0], num_parts
+    indptr, indices, data = adj.indptr, adj.indices, adj.data
     assignment = assignment.copy()
     total = float(node_w.sum())
-    cap = imbalance * total / num_parts
+    cap = IMBALANCE * total / num_parts
+    nodes = np.arange(n)
+    conn = adj @ np.eye(k)[assignment]  # n x k connectivity weight
 
-    for _ in range(passes):
-        onehot = sp.csr_matrix(
-            (np.ones(n), (np.arange(n), assignment)), shape=(n, num_parts)
-        )
-        conn = np.asarray((adj @ onehot).todense())  # n x k connectivity weight
-        own = conn[np.arange(n), assignment]
+    for _ in range(REFINE_PASSES):
+        own = conn[nodes, assignment]
         conn_other = conn.copy()
-        conn_other[np.arange(n), assignment] = -np.inf
+        conn_other[nodes, assignment] = -np.inf
         best_part = np.argmax(conn_other, axis=1)
-        best = conn_other[np.arange(n), best_part]
+        best = conn_other[nodes, best_part]
         gain = best - own
 
+        before = assignment.copy()
         part_w = np.bincount(assignment, weights=node_w, minlength=num_parts)
         movable = np.isfinite(best) & (gain > 0)
         moved = 0
@@ -413,8 +532,18 @@ def _refine(
                     part_w[tgt] += w
                     assignment[v] = tgt
                     moved += 1
-        if moved == 0 and (part_w <= cap).all():
-            break
         if moved == 0:
             break  # no progress is possible; avoid spinning
+        # each moved node's weight leaves its old part and joins its new
+        # one in every neighbour's row (adjacency is symmetric)
+        changed = np.flatnonzero(assignment != before)
+        pos, deg = _row_positions(indptr, changed)
+        nbr_k = indices[pos].astype(np.int64) * k
+        w = data[pos]
+        conn += np.bincount(
+            np.concatenate([nbr_k + np.repeat(assignment[changed], deg),
+                            nbr_k + np.repeat(before[changed], deg)]),
+            weights=np.concatenate([w, -w]),
+            minlength=n * k,
+        ).reshape(n, k)
     return assignment

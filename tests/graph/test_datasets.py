@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph import DATASET_SPECS, load_dataset
+from repro.graph import DATASET_SPECS, datasets, load_dataset
 from repro.graph.reorder import renumber_by_partition
 from repro.graph.partition import hash_partition
 from repro.utils import ConfigError
@@ -45,6 +45,21 @@ class TestLoading:
 
     def test_cached(self):
         assert load_dataset("tiny") is load_dataset("tiny")
+
+    def test_cache_file_round_trip(self, tmp_path):
+        ds = load_dataset("tiny")
+        path = tmp_path / "tiny.npz"
+        datasets._save(path, ds)
+        back = datasets._load_npz(path, ds.spec)
+        for attr in ("features", "labels", "train_nodes", "val_nodes", "test_nodes"):
+            a, b = getattr(back, attr), getattr(ds, attr)
+            assert a.dtype == b.dtype, attr
+            assert np.array_equal(a, b), attr
+        for attr in ("indptr", "indices"):
+            a, b = getattr(back.graph, attr), getattr(ds.graph, attr)
+            assert a.dtype == b.dtype, attr
+            assert np.array_equal(a, b), attr
+        assert back.num_classes == ds.num_classes
 
     def test_unknown_name(self):
         with pytest.raises(ConfigError):

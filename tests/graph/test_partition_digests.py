@@ -3,7 +3,9 @@
 Flat partitions are cached on disk under a key that carries no code
 version, so a partitioner change that moved any assignment would hide
 behind stale cache files.  The digests below pin ``metis_partition``
-and ``hierarchical_partition`` outputs; the oracle test pins
+and ``hierarchical_partition`` outputs, at unit-test size and at the
+size the benchmark runs (flat 8-way on ``products``; the slow-marked
+2 servers x 4 GPUs cut of ``papers``); the oracle test pins
 ``_symmetrized_adjacency`` to the sparse-algebra formulation
 (``A + A.T``, zero diagonal, explicit zeros dropped) bit for bit.
 """
@@ -42,6 +44,17 @@ HIERARCHICAL = {
 }
 
 
+#: flat 8-way METIS of ``products`` with ``rng=0``
+PRODUCTS_FLAT8 = "0cc863acbdbb6adf966641e0e5b5b5b6cde3ceb9355d69a86e3885a0acf6a4f3"
+
+#: 2 servers x 4 GPUs of ``papers``: the seeds of the benchmark's
+#: ``epoch-papers-2node --seed 1`` sub-runs
+PAPERS_HIERARCHICAL = {
+    100: "3706cfe1cb39ce28a8ccc152e2caae9c799c6fbca04609ffe73b6d295cad1b98",
+    101: "fcf98cd0ec99b166bce48235fc3d8658578f1d4666b4d76c38f2c902104185cd",
+}
+
+
 def _digest(*arrays: np.ndarray) -> str:
     h = hashlib.sha256()
     for a in arrays:
@@ -59,6 +72,18 @@ def test_flat_metis_pinned(name):
 def test_hierarchical_pinned(name):
     h = hierarchical_partition(GRAPHS[name](), 2, 2, seed=3)
     assert _digest(h.server.assignment, h.gpu.assignment) == HIERARCHICAL[name]
+
+
+def test_products_flat_pinned():
+    part = metis_partition(load_dataset("products").graph, 8, rng=0)
+    assert _digest(part.assignment) == PRODUCTS_FLAT8
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(PAPERS_HIERARCHICAL))
+def test_papers_hierarchical_pinned(seed):
+    h = hierarchical_partition(load_dataset("papers").graph, 2, 4, seed=seed)
+    assert _digest(h.server.assignment, h.gpu.assignment) == PAPERS_HIERARCHICAL[seed]
 
 
 def _oracle(graph: CSRGraph) -> sp.csr_matrix:
