@@ -9,7 +9,8 @@ tier.  This module reuses the flat partitioners of
 1. cut the whole graph into ``S`` server parts;
 2. cut the subgraph *induced* by each server's nodes into ``G`` local
    patches (cross-server edges are invisible to the inner cut — they
-   are already paid for at the network tier);
+   are already paid for at the network tier); the inner cuts are
+   independent and, on large graphs, run in parallel worker processes;
 3. map local patch ``g`` of server ``s`` to global GPU ``s * G + g``.
 
 The result nests by construction and :meth:`HierarchicalPartition.validate`
@@ -37,7 +38,12 @@ from repro.graph.partition import (
     ldg_partition,
     metis_partition,
 )
+from repro.parallel import RunSpec, default_workers, run_tasks
 from repro.utils.errors import PartitionError
+
+#: induced-subgraph edges (all servers) from which the per-server
+#: inner cuts run in parallel processes instead of inline
+_FORK_MIN_EDGES = 1 << 20
 
 
 def _cut(graph: CSRGraph, num_parts: int, method: str, seed: int) -> Partition:
@@ -136,9 +142,11 @@ def hierarchical_partition(
 
     ``method`` is applied at both levels ("metis" | "ldg" | "hash").
     The inner cuts use per-server seeds derived from ``seed`` so the
-    result is a pure function of the arguments; with one server the
-    inner seed is ``seed`` itself and the GPU level is bit-identical to
-    the flat partitioner (the single-server oracle).
+    result is a pure function of the arguments, whether they run
+    inline or, once the induced subgraphs hold ``_FORK_MIN_EDGES``
+    edges, one :func:`repro.parallel.run_tasks` worker per server; with
+    one server the inner seed is ``seed`` itself and the GPU level is
+    bit-identical to the flat partitioner (the single-server oracle).
     """
     if num_servers < 1 or gpus_per_server < 1:
         raise PartitionError("need at least one server and one GPU per server")
@@ -149,7 +157,7 @@ def hierarchical_partition(
         return HierarchicalPartition(server, gpu, gpus_per_server)
 
     server = _cut(graph, num_servers, method, seed)
-    assignment = np.zeros(n, dtype=np.int64)
+    specs, old_ids, edges = [], [], 0
     for s in range(num_servers):
         nodes = server.nodes_of(s)
         if len(nodes) < gpus_per_server:
@@ -157,9 +165,19 @@ def hierarchical_partition(
                 f"server {s} holds {len(nodes)} nodes — fewer than its "
                 f"{gpus_per_server} GPUs; use fewer parts or a larger graph"
             )
-        sub, old_ids = graph.induced_subgraph(nodes)
-        local = _cut(sub, gpus_per_server, method, _server_seed(seed, s))
-        assignment[old_ids] = s * gpus_per_server + local.assignment
+        sub, ids = graph.induced_subgraph(nodes)
+        specs.append(RunSpec(
+            "partition", f"server {s} of {num_servers}", _server_seed(seed, s),
+            {"graph": sub, "num_parts": gpus_per_server, "method": method},
+        ))
+        old_ids.append(ids)
+        edges += sub.num_edges
+    # the inner cuts are independent: one process each, unless forking
+    # would cost more than the cuts themselves
+    workers = default_workers() if edges >= _FORK_MIN_EDGES else 1
+    assignment = np.zeros(n, dtype=np.int64)
+    for s, (ids, local) in enumerate(zip(old_ids, run_tasks(specs, workers))):
+        assignment[ids] = s * gpus_per_server + local
     hp = HierarchicalPartition(
         server=server,
         gpu=Partition(assignment, num_servers * gpus_per_server),

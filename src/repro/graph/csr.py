@@ -182,26 +182,29 @@ class CSRGraph:
         """Subgraph induced by ``nodes``; returns (subgraph, old ids).
 
         Node ``i`` of the subgraph corresponds to ``nodes[i]``.  Edges
-        whose endpoint falls outside ``nodes`` are dropped.
+        whose endpoint falls outside ``nodes`` are dropped; each kept
+        node's neighbours stay in their order.
         """
         nodes = np.unique(np.asarray(nodes, dtype=np.int64))
         remap = np.full(self.num_nodes, -1, dtype=np.int64)
         remap[nodes] = np.arange(len(nodes))
-        dst = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        src = self.indices
-        mask = (remap[dst] >= 0) & (remap[src] >= 0)
-        w = None if self.edge_weights is None else self.edge_weights[mask]
-        sub = CSRGraph.from_edges(
-            src=remap[src[mask]],
-            dst=remap[dst[mask]],
-            num_nodes=len(nodes),
-            edge_weights=w,
-            dedup=False,
-        )
-        return sub, nodes
+        # only the kept rows are read: O(their edges), no sort
+        pos, deg = _row_positions(self.indptr, nodes)
+        cols = remap[self.indices[pos]]
+        keep = cols >= 0
+        kept = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        ends = np.zeros(len(nodes) + 1, dtype=np.int64)
+        np.cumsum(deg, out=ends[1:])
+        w = None if self.edge_weights is None else self.edge_weights[pos[keep]]
+        return CSRGraph(kept[ends], cols[keep], w), nodes
 
     def permute(self, perm: np.ndarray) -> "CSRGraph":
-        """Renumber nodes: new id of old node ``v`` is ``perm[v]``."""
+        """Renumber nodes: new id of old node ``v`` is ``perm[v]``.
+
+        Row ``perm[v]`` of the result is old row ``v``, neighbours in
+        their order.
+        """
         perm = np.asarray(perm, dtype=np.int64)
         if perm.shape != (self.num_nodes,):
             raise ReproError("perm must be a permutation of all node ids")
@@ -209,14 +212,13 @@ class CSRGraph:
         check[perm] = True
         if not check.all():
             raise ReproError("perm must be a permutation of all node ids")
-        dst = np.repeat(np.arange(self.num_nodes, dtype=np.int64), self.degrees)
-        return CSRGraph.from_edges(
-            src=perm[self.indices],
-            dst=perm[dst],
-            num_nodes=self.num_nodes,
-            edge_weights=self.edge_weights,
-            dedup=False,
-        )
+        old = np.empty_like(perm)
+        old[perm] = np.arange(self.num_nodes)
+        pos, deg = _row_positions(self.indptr, old)
+        indptr = np.zeros(self.num_nodes + 1, dtype=np.int64)
+        np.cumsum(deg, out=indptr[1:])
+        w = None if self.edge_weights is None else self.edge_weights[pos]
+        return CSRGraph(indptr, perm[self.indices[pos]], w)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         w = "weighted" if self.edge_weights is not None else "unweighted"
@@ -224,3 +226,13 @@ class CSRGraph:
             f"CSRGraph(nodes={self.num_nodes}, edges={self.num_edges}, "
             f"avg_degree={self.average_degree:.1f}, {w})"
         )
+
+
+def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in the CSR arrays of ``rows``' entries, row after row,
+    and each row's entry count."""
+    lo = indptr[rows].astype(np.int64)
+    deg = indptr[rows + 1] - lo
+    ends = np.cumsum(deg)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(lo - (ends - deg), deg), deg

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _row_positions
 from repro.utils.errors import PartitionError
 from repro.utils.rng import make_rng
 
@@ -36,6 +36,10 @@ REFINE_PASSES = 8
 _GREEDY_CHUNK = 128
 #: bits a packed (row, col, weight) sort key may use (int64 minus sign)
 _KEY_BITS = 63
+#: entries packed into sort keys per step (temporaries stay in cache)
+_PACK_CHUNK = 1 << 15
+#: sort key of a diagonal entry: above every (row, col) key with row != col
+_DIAGONAL = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -145,9 +149,10 @@ def ldg_partition(
 # multilevel partitioner
 # ----------------------------------------------------------------------
 # Every kernel below is exact: adjacency weights are integer-valued
-# float64 (edge counts and sums of them), so any summation order gives
-# the same float, and the random draws are the ones a plain sequential
-# implementation makes, in the same order.
+# (edge counts and sums of them; float64 out of _symmetrized_adjacency
+# and _contract, int32 on the levels metis_partition keeps), so any
+# summation order gives the same number, and the random draws are the
+# ones a plain sequential implementation makes, in the same order.
 def metis_partition(
     graph: CSRGraph,
     num_parts: int,
@@ -169,6 +174,13 @@ def metis_partition(
         return Partition(np.zeros(graph.num_nodes, dtype=np.int64), 1)
 
     adj = _symmetrized_adjacency(graph)
+    # Weights are stored as int32 from here on: the levels kept for
+    # uncoarsening hold most of the partitioner's memory.  Coarsening
+    # only merges or drops weight, so the total bounds every weight and
+    # every connectivity sum on every level.
+    if adj.data.sum() >= 2**31:
+        raise PartitionError("total edge weight reaches 2**31: too large for int32")
+    adj.data = adj.data.astype(np.int32)
     node_w = np.ones(graph.num_nodes, dtype=np.int64)
     coarsest_size = max(64 * num_parts, 256)
 
@@ -179,7 +191,7 @@ def metis_partition(
         if n_coarse >= adj.shape[0] * 0.95:  # matching stalled
             break
         levels.append((adj, node_w, mapping))
-        adj, node_w = _contract(adj, node_w, mapping, n_coarse)
+        adj, node_w = _contract(adj, node_w, mapping, n_coarse, np.int32)
 
     # ---- initial partition on coarsest graph -----------------------------
     assignment = _greedy_growing(adj, node_w, num_parts, rng)
@@ -205,68 +217,113 @@ def _symmetrized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
 
 
 def _coalesce(
-    rows: np.ndarray, cols: np.ndarray, n: int, weights: np.ndarray | None = None
+    rows: np.ndarray,
+    cols: np.ndarray,
+    n: int,
+    weights: np.ndarray | None = None,
+    col_map: np.ndarray | None = None,
+    dtype: type = np.float64,
 ) -> sp.csr_matrix:
-    """``n x n`` CSR of the off-diagonal entries, duplicate pairs summed.
+    """``n x n`` CSR of the off-diagonal entries ``(rows[i], cols[i])``,
+    duplicate pairs summed.
 
-    ``rows`` and ``cols`` are int64 and are overwritten; ``weights`` are
-    integer-valued (default: 1 per entry).  The result is the canonical
-    CSR scipy's COO -> CSR conversion builds (sorted indices, one entry
-    per pair, int32 indices while they fit), from one sort: each entry
-    is packed into an int64 key ``row | col | weight``, so after an
-    in-place sort a pair's entries are adjacent and carry their weights
-    along.  Keys wider than ``_KEY_BITS`` fall back to a stable argsort
-    of the ``row | col`` key.
+    ``rows`` is int64 and is overwritten; ``cols`` are read through
+    ``col_map`` when one is given; ``weights`` are integer-valued
+    (default: 1 per entry) and the summed weights are stored as
+    ``dtype``.  The result is the canonical CSR scipy's
+    COO -> CSR conversion builds (sorted indices, one entry per pair,
+    int32 indices while they fit), from one sort: each entry is packed,
+    in cache-sized chunks, into an int64 key ``row | col | weight``
+    (diagonal entries become the largest key), so after an in-place
+    sort a pair's entries are adjacent and carry their weights along,
+    and the diagonal is one tail to cut off.  Keys wider than
+    ``_KEY_BITS`` fall back to a stable argsort of the ``row | col`` key.
     """
-    keep = rows != cols
-    nnz = int(np.count_nonzero(keep))
+    nnz = len(rows)
     col_bits = max(n - 1, 0).bit_length()
     if 2 * col_bits > 63:
         raise PartitionError(f"{n} nodes: (row, col) keys overflow int64")
     w_bits = 0 if weights is None or nnz == 0 else int(weights.max()).bit_length()
-    rows <<= col_bits
-    rows |= cols
-    del cols
-    if 2 * col_bits + w_bits <= _KEY_BITS:
-        key = rows
-        key <<= w_bits
-        if weights is not None:
-            key |= weights.astype(np.int64)
-        del rows
-        key = key[keep]
+    packed = 2 * col_bits + w_bits <= _KEY_BITS
+    key = rows
+    diagonal = _pack(key, cols, col_map, col_bits, weights if packed else None, w_bits)
+    del rows, cols  # key's buffer is freed with its last view
+    if packed or weights is None:
         key.sort()
-        if weights is not None:
-            weights = key & ((1 << w_bits) - 1)
-            key >>= w_bits
     else:
-        key = rows[keep]
-        del rows
         order = np.argsort(key, kind="stable")
-        key = key[order]
-        if weights is not None:
-            weights = weights[keep][order]
-    # key: sorted (row, col) of every entry; a pair's weight is its
-    # first entry plus its repeats (few: most pairs occur once)
-    first = _run_heads(key)
+        key, weights = key[order], weights[order]
+    key = key[: nnz - diagonal]
+    # key: sorted (row, col, weight) of every entry; a pair's weight is
+    # its first entry plus its repeats (few: most pairs occur once)
+    w_mask = (1 << w_bits) - 1 if packed else 0
+    first = _run_heads(key, w_mask)
     repeats = np.flatnonzero(~first)
-    repeated = key[repeats]
+    # repeat j at position p belongs to run p - j - 1 (p - j heads precede it)
+    run = repeats - np.arange(1, len(repeats) + 1)
+    if weights is None:
+        extra = 1
+    elif packed:
+        extra = (key[repeats] & w_mask).astype(dtype)
+    else:
+        weights = weights[: len(key)].astype(dtype)
+        extra = weights[repeats]
     key = key[first]
     if weights is None:
-        data, extra = np.ones(len(key)), 1.0
-    else:  # float repeats take add.at's fast path
-        data, extra = weights[first].astype(np.float64), weights[repeats].astype(np.float64)
-    np.add.at(data, np.searchsorted(key, repeated), extra)
-    idx = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+        data = np.ones(len(key), dtype=dtype)
+    elif packed:
+        data = np.empty(len(key), dtype=dtype)
+        np.bitwise_and(key, w_mask, out=data, casting="unsafe")
+        key >>= w_bits
+    else:
+        data = weights[first]
+    np.add.at(data, run, extra)
+    idx = np.int32 if max(n, nnz - diagonal) <= np.iinfo(np.int32).max else np.int64
     indptr = np.searchsorted(key, np.arange(n + 1) << col_bits).astype(idx)
-    indices = (key & ((1 << col_bits) - 1)).astype(idx)
+    indices = np.empty(len(key), dtype=idx)
+    np.bitwise_and(key, (1 << col_bits) - 1, out=indices, casting="unsafe")
     return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _run_heads(key: np.ndarray) -> np.ndarray:
-    """Mask of the first element of every run of equal values in ``key``."""
+def _pack(
+    key: np.ndarray,
+    cols: np.ndarray,
+    col_map: np.ndarray | None,
+    col_bits: int,
+    weights: np.ndarray | None,
+    w_bits: int,
+) -> int:
+    """Turn the rows in ``key`` into sort keys ``row | col | weight`` in
+    place, a cache-sized chunk at a time; a diagonal entry's key becomes
+    ``_DIAGONAL``.  Returns the number of diagonal entries."""
+    diagonal = 0
+    for lo in range(0, len(key), _PACK_CHUNK):
+        k = key[lo : lo + _PACK_CHUNK]
+        c = cols[lo : lo + _PACK_CHUNK]
+        if col_map is not None:
+            c = np.take(col_map, c)
+        diag = k == c
+        k <<= col_bits
+        k |= c
+        if weights is not None:
+            k <<= w_bits
+            np.bitwise_or(
+                k, weights[lo : lo + _PACK_CHUNK], out=k, dtype=np.int64, casting="unsafe"
+            )
+        k[diag] = _DIAGONAL
+        diagonal += int(np.count_nonzero(diag))
+    return diagonal
+
+
+def _run_heads(key: np.ndarray, low_bits: int = 0) -> np.ndarray:
+    """Mask of the first element of every run of non-negative ``key``
+    values that agree above the bit mask ``low_bits`` (chunked: one
+    small xor buffer instead of a shifted copy of ``key``)."""
     first = np.empty(len(key), dtype=bool)
     first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
+    for lo in range(1, len(key), _PACK_CHUNK):
+        hi = min(lo + _PACK_CHUNK, len(key))
+        np.greater(key[lo:hi] ^ key[lo - 1 : hi - 1], low_bits, out=first[lo:hi])
     return first
 
 
@@ -283,22 +340,32 @@ def _heavy_edge_matching(
     n = adj.shape[0]
     matched_with = np.full(n, -1, dtype=np.int64)
     indptr, indices, data = adj.indptr, adj.indices, adj.data
-    deg = np.diff(indptr)
-    nonempty = np.flatnonzero(deg)
 
     for round_ in range(2):
         free = matched_with < 0
         if not free.any():
             break
-        # jitter weights so argmax tie-breaking varies per round
-        # (in place: data + rng.random(nnz) * 1e-6, bit for bit)
-        w = rng.random(len(data))
-        w *= 1e-6
-        w += data
-        if round_:  # only free neighbours are eligible
-            w[~free[indices]] = -np.inf
-        choice = _rowwise_argmax_neighbor(indptr, indices, w, deg, nonempty)
-        # a nomination is valid only from a free node to a free node
+        # Weights are integers and the jitter is below 1e-6, so a row's
+        # nomination is one of its entries at the row's maximum weight
+        # (its ties): only those are jittered, bit for bit as
+        # data + rng.random(nnz) * 1e-6, and compared.  In round 2 only
+        # free neighbours count.
+        w = np.where(np.take(free, indices), data, -1) if round_ else data
+        ties = _row_max_entries(indptr, w)
+        key = _draws_at(rng, len(data), ties)
+        key *= 1e-6
+        key += data[ties]
+        # each row's ties are one run of ``ties``: the last maximal key wins
+        bounds = np.searchsorted(ties, indptr)
+        rows = np.flatnonzero(bounds[1:] > bounds[:-1])
+        ends = bounds[rows + 1]
+        top = np.maximum.reduceat(key, bounds[rows])
+        hit = np.flatnonzero(key == np.repeat(top, ends - bounds[rows]))
+        choice = np.full(n, -1, dtype=np.int64)
+        choice[rows] = indices[ties[hit[np.searchsorted(hit, ends) - 1]]]
+        # a nomination is valid only from a free node to a free node (a
+        # row left with no free neighbour nominates a taken one, -1 in w,
+        # whose own choice is -1: never mutual)
         choice[~free] = -1
         valid = choice >= 0
         mutual = np.zeros(n, dtype=bool)
@@ -320,28 +387,29 @@ def _heavy_edge_matching(
     return mapping.astype(np.int64), len(uniq)
 
 
-def _rowwise_argmax_neighbor(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    w: np.ndarray,
-    deg: np.ndarray,
-    nonempty: np.ndarray,
-) -> np.ndarray:
-    """For each row, a neighbour of maximum finite weight (-1 if none).
-
-    ``w`` is -inf at ineligible entries; ``nonempty`` lists the rows
-    with ``deg > 0``.  Ties go to the last maximal entry of the row.
-    """
-    n = len(indptr) - 1
-    out = np.full(n, -1, dtype=np.int64)
-    if len(nonempty) == 0:
-        return out
-    rowmax = np.full(n, -np.inf)
-    rowmax[nonempty] = np.maximum.reduceat(w, indptr[nonempty])
-    cand = np.flatnonzero(w == np.repeat(rowmax, deg))
-    out[np.searchsorted(indptr, cand, side="right") - 1] = indices[cand]
-    out[rowmax == -np.inf] = -1  # every neighbour ineligible
+def _draws_at(rng: np.random.Generator, size: int, pos: np.ndarray) -> np.ndarray:
+    """``rng.random(size)[pos]`` for sorted ``pos``: all ``size`` draws
+    are made, in order, a chunk at a time into one small buffer."""
+    out = np.empty(len(pos))
+    buf = np.empty(_PACK_CHUNK)
+    ends = np.searchsorted(pos, np.arange(_PACK_CHUNK, size + _PACK_CHUNK, _PACK_CHUNK))
+    a = 0
+    for lo, b in zip(range(0, size, _PACK_CHUNK), ends.tolist()):
+        chunk = buf[: min(_PACK_CHUNK, size - lo)]
+        rng.random(out=chunk)
+        out[a:b] = chunk[pos[a:b] - lo]
+        a = b
     return out
+
+
+def _row_max_entries(indptr: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Positions, in CSR order, of every row's entries of maximum ``w``."""
+    deg = np.diff(indptr)
+    nonempty = np.flatnonzero(deg)
+    if len(nonempty) == 0:
+        return np.empty(0, dtype=np.int64)
+    top = np.maximum.reduceat(w, indptr[nonempty])
+    return np.flatnonzero(w == np.repeat(top, deg[nonempty]))
 
 
 def _greedy_matching(
@@ -392,7 +460,7 @@ def _first_heaviest_free(
         return picks
     pos, deg = _row_positions(indptr, rows)
     nbrs = indices[pos]
-    ok = free[nbrs]
+    ok = np.take(free, nbrs)
     w = np.where(ok, data[pos], -np.inf)
     starts = np.cumsum(deg) - deg
     hit = w == np.repeat(np.maximum.reduceat(w, starts), deg)
@@ -405,22 +473,17 @@ def _first_heaviest_free(
     return picks
 
 
-def _row_positions(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in the CSR arrays of ``rows``' entries, row after row,
-    and each row's entry count."""
-    lo = indptr[rows].astype(np.int64)
-    deg = indptr[rows + 1] - lo
-    ends = np.cumsum(deg)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(lo - (ends - deg), deg), deg
-
-
 def _contract(
-    adj: sp.csr_matrix, node_w: np.ndarray, mapping: np.ndarray, n_coarse: int
+    adj: sp.csr_matrix,
+    node_w: np.ndarray,
+    mapping: np.ndarray,
+    n_coarse: int,
+    dtype: type = np.float64,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Collapse matched pairs; edge weights between coarse nodes are summed."""
+    """Collapse matched pairs; edge weights between coarse nodes are
+    summed (and stored as ``dtype``)."""
     coarse = _coalesce(
-        np.repeat(mapping, np.diff(adj.indptr)), mapping[adj.indices], n_coarse, adj.data
+        np.repeat(mapping, np.diff(adj.indptr)), adj.indices, n_coarse, adj.data, mapping, dtype
     )
     coarse_w = np.bincount(mapping, weights=node_w, minlength=n_coarse).astype(np.int64)
     return coarse, coarse_w
@@ -491,7 +554,8 @@ def _refine(
     total = float(node_w.sum())
     cap = IMBALANCE * total / num_parts
     nodes = np.arange(n)
-    conn = adj @ np.eye(k)[assignment]  # n x k connectivity weight
+    # n x k connectivity weight, summed in the weights' own dtype
+    conn = (adj @ np.eye(k, dtype=adj.dtype)[assignment]).astype(np.float64, copy=False)
 
     for _ in range(REFINE_PASSES):
         own = conn[nodes, assignment]

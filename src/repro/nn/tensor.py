@@ -179,8 +179,12 @@ class Tensor:
         out_data = self.data @ other.data
 
         def backward(g):
-            self._accumulate(g @ other.data.T)
-            other._accumulate(self.data.T @ g)
+            # skip the GEMM of a side that takes no gradient (e.g. input
+            # features): _accumulate would drop its result
+            if self.requires_grad:
+                self._accumulate(g @ other.data.T)
+            if other.requires_grad:
+                other._accumulate(self.data.T @ g)
 
         return Tensor._make(out_data, (self, other), backward)
 

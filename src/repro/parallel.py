@@ -26,9 +26,10 @@ Design
   the parent with the child's formatted traceback embedded, so a
   fan-out failure reads the same as a serial one.
 
-Four run kinds are registered: ``serve_point`` (one QPS point of a
+Five run kinds are registered: ``serve_point`` (one QPS point of a
 serving sweep, single-server, routed or autoscaled), ``epoch``,
-``chaos_scenario`` and ``control_cell``.  Serving
+``chaos_scenario``, ``control_cell`` and ``partition`` (one per-server
+inner cut of a hierarchical partition).  Serving
 points reuse one built system per worker process (a point resets it
 first, see :meth:`repro.core.system.TrainingSystem.reset_point`);
 epoch tasks always build fresh because an epoch mutates sampler RNGs
@@ -228,10 +229,23 @@ def _control_cell(spec: RunSpec):
     )
 
 
+def _partition(spec: RunSpec):
+    """One flat cut of a graph -> its assignment array.
+
+    :func:`repro.cluster.hierarchical_partition` fans its per-server
+    inner cuts out as these; ``spec.seed`` is the cut's seed.
+    """
+    from repro.cluster.partition import _cut
+
+    p = spec.payload
+    return _cut(p["graph"], p["num_parts"], p["method"], spec.seed).assignment
+
+
 register_handler("serve_point", _serve_point)
 register_handler("epoch", _epoch)
 register_handler("chaos_scenario", _chaos_scenario)
 register_handler("control_cell", _control_cell)
+register_handler("partition", _partition)
 
 
 # ----------------------------------------------------------------------

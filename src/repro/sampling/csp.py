@@ -215,8 +215,11 @@ class CollectiveSampler:
         """Sorted unique of bounded global ids via one flag scatter.
 
         Bit-identical to ``np.unique(np.concatenate(arrays))`` for valid
-        ids (sorted int64) but O(n) with a tiny constant; the scratch
-        flags are reset by index so cost never scales with graph size.
+        ids (sorted int64), with no sort: setting and resetting the
+        scratch flags costs O(ids), but ``flatnonzero`` scans all
+        ``num_nodes`` flags, so every call also pays O(num_nodes) (a
+        fast byte scan; a sort-based variant measured slower on
+        ``papers``).
         """
         seen = self._seen
         for a in arrays:

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import repro.cluster.partition as cluster_partition
+from repro import parallel
 from repro.cluster import HierarchicalPartition, hierarchical_partition
 from repro.cluster.partition import _cut
 from repro.graph.datasets import load_dataset
@@ -10,6 +12,63 @@ from repro.graph.partition import Partition
 from repro.utils.errors import PartitionError
 
 GRAPH = load_dataset("tiny").graph
+
+
+def _digest(hp: HierarchicalPartition) -> tuple:
+    return hp.server.assignment.tobytes(), hp.gpu.assignment.tobytes()
+
+
+def _spy_run_tasks(monkeypatch) -> list:
+    """Record the worker count of every inner-cut ``run_tasks`` call."""
+    calls = []
+    run_tasks = cluster_partition.run_tasks
+
+    def spy(specs, workers=1):
+        calls.append(workers)
+        return run_tasks(specs, workers)
+
+    monkeypatch.setattr(cluster_partition, "run_tasks", spy)
+    return calls
+
+
+def _fan_out(monkeypatch) -> list:
+    """Make every inner cut fan out over two worker processes."""
+    monkeypatch.setattr(cluster_partition, "_FORK_MIN_EDGES", 0)
+    monkeypatch.setattr(cluster_partition, "default_workers", lambda: 2)
+    return _spy_run_tasks(monkeypatch)
+
+
+def _hierarchical_in_worker(spec):
+    return _digest(hierarchical_partition(GRAPH, 2, 2, seed=spec.seed))
+
+
+class TestInnerCutFanOut:
+    """The per-server inner cuts run inline on small graphs and in
+    worker processes on large ones, to the same assignment."""
+
+    def test_small_graphs_run_inline(self, monkeypatch):
+        calls = _spy_run_tasks(monkeypatch)
+        hierarchical_partition(GRAPH, 2, 2, seed=0)
+        assert calls == [1]
+
+    @pytest.mark.parametrize("method", ["metis", "ldg", "hash"])
+    @pytest.mark.parametrize("servers,gpus", [(2, 2), (3, 2), (2, 4)])
+    def test_fanned_out_equals_inline(self, monkeypatch, method, servers, gpus):
+        inline = _digest(hierarchical_partition(GRAPH, servers, gpus, method, seed=5))
+        calls = _fan_out(monkeypatch)
+        fanned = _digest(hierarchical_partition(GRAPH, servers, gpus, method, seed=5))
+        assert calls == [2]
+        assert fanned == inline
+
+    def test_nested_inside_a_worker(self, monkeypatch):
+        """A hierarchical partition built inside a ``run_tasks`` worker
+        (e.g. a fanned-out epoch of a multi-server system) forks its own
+        inner-cut pool from there."""
+        want = [_digest(hierarchical_partition(GRAPH, 2, 2, seed=s)) for s in (3, 4)]
+        _fan_out(monkeypatch)
+        monkeypatch.setitem(parallel._HANDLERS, "hierarchical", _hierarchical_in_worker)
+        specs = [parallel.RunSpec("hierarchical", f"seed {s}", s) for s in (3, 4)]
+        assert parallel.run_tasks(specs, workers=2) == want
 
 
 class TestHierarchicalPartition:

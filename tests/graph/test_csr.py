@@ -149,3 +149,56 @@ class TestTransforms:
         g = small_graph(weighted=True)
         unweighted = small_graph()
         assert g.topology_nbytes > unweighted.topology_nbytes > 0
+
+
+# the edge-list formulations induced_subgraph and permute compute without
+# a sort: rebuild through from_edges, which orders edges by a stable sort
+def _ref_induced_subgraph(g: CSRGraph, nodes: np.ndarray):
+    nodes = np.unique(np.asarray(nodes, dtype=np.int64))
+    remap = np.full(g.num_nodes, -1, dtype=np.int64)
+    remap[nodes] = np.arange(len(nodes))
+    dst = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
+    src = g.indices
+    mask = (remap[dst] >= 0) & (remap[src] >= 0)
+    w = None if g.edge_weights is None else g.edge_weights[mask]
+    sub = CSRGraph.from_edges(
+        remap[src[mask]], remap[dst[mask]], len(nodes), edge_weights=w, dedup=False
+    )
+    return sub, nodes
+
+
+def _ref_permute(g: CSRGraph, perm: np.ndarray) -> CSRGraph:
+    dst = np.repeat(np.arange(g.num_nodes, dtype=np.int64), g.degrees)
+    return CSRGraph.from_edges(
+        perm[g.indices], perm[dst], g.num_nodes, edge_weights=g.edge_weights, dedup=False
+    )
+
+
+def _assert_same(got: CSRGraph, want: CSRGraph) -> None:
+    for field in ("indptr", "indices", "edge_weights"):
+        a, b = getattr(got, field), getattr(want, field)
+        if b is None:
+            assert a is None
+            continue
+        assert a.dtype == b.dtype, field
+        assert np.array_equal(a, b), field
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("weighted", [False, True])
+def test_induced_subgraph_and_permute_match_edge_list_rebuild(seed, weighted):
+    """Bit for bit, on graphs with self-loops, parallel edges, empty
+    rows and unsorted neighbour lists."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 60))
+    m = int(rng.integers(0, 300))
+    src, dst = rng.integers(0, n, m), rng.integers(0, n, m)
+    w = rng.random(m).astype(np.float32) if weighted else None
+    g = CSRGraph.from_edges(src, dst, n, edge_weights=w, dedup=False)
+    for nodes in (rng.choice(n, int(rng.integers(0, n + 1)), replace=False), np.arange(n)):
+        got, got_ids = g.induced_subgraph(nodes)
+        want, want_ids = _ref_induced_subgraph(g, nodes)
+        _assert_same(got, want)
+        assert np.array_equal(got_ids, want_ids)
+    perm = rng.permutation(n)
+    _assert_same(g.permute(perm), _ref_permute(g, perm))
