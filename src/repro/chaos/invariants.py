@@ -10,7 +10,7 @@ violation on the run's trace and metrics timelines.
 Checked invariants:
 
 ``clock-monotone``
-    Event times never decrease (the heap contract).
+    Event times never decrease (the scheduler contract).
 ``queue-bound``
     No :class:`~repro.engine.resources.BoundedQueue` ever holds more
     than its capacity.
@@ -89,10 +89,11 @@ class InvariantChecker:
 
     # -- hooks (called through the simulator's probe) ----------------------
     def on_event_time(self, t: float) -> None:
-        # Under the default bucketed scheduler this fires once per
-        # *distinct* timestamp (a dispatch batch); under the legacy
-        # heap core, once per event.  ``checks`` totals therefore
-        # differ between cores — the monotonicity guarantee does not.
+        # The bucketed scheduler fires this once per *distinct*
+        # timestamp (a dispatch batch), not once per event, so
+        # ``checks`` counts dispatch batches.  The heap-core test
+        # oracle fires it per event: its totals differ, the
+        # monotonicity guarantee does not.
         self.checks += 1
         if t < self._last_time:
             self._fail(

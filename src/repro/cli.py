@@ -138,6 +138,23 @@ def _fanout(text: str) -> tuple[int, ...]:
         ) from None
 
 
+def _at_least(minimum: int, *counts: tuple[str, int]) -> None:
+    """Reject any ``(flag, count)`` below ``minimum``, naming both."""
+    for flag, count in counts:
+        if count < minimum:
+            raise ConfigError(
+                f"{flag} expects a count >= {minimum}, got {count}"
+            )
+
+
+def _check_qps(values, text: str) -> None:
+    """Every offered load must be a positive finite rate."""
+    if not all(0.0 < q < float("inf") for q in values):
+        raise ConfigError(
+            f"--qps expects positive finite offered loads, got {text!r}"
+        )
+
+
 def _systems(args, default=()) -> list[str]:
     """``--systems`` as a list of names, ``default`` when empty; an
     unknown name fails here, before any task reaches a worker."""
@@ -236,6 +253,7 @@ def cmd_compare(args) -> int:
 
     cfg = _config(args)
     systems = _systems(args, default=TABLE_SYSTEMS)
+    _at_least(1, ("--batches", args.batches), ("--workers", args.workers))
     out = compare_epochs(
         systems, cfg, max_batches=args.batches, workers=args.workers
     )
@@ -313,16 +331,17 @@ def cmd_serve(args) -> int:
         raise ConfigError(
             f"--qps expects comma-separated numbers, got {args.qps!r}"
         ) from None
-    if not all(q > 0 for q in qps_values):
-        raise ConfigError(
-            f"--qps expects positive offered loads, got {args.qps!r}"
-        )
+    _check_qps(qps_values, args.qps)
     window = args.metrics_window_ms
     if window is not None and not 0.0 < window < float("inf"):
         raise ConfigError(f"--metrics-window-ms expects a positive width, got {window:g}")
-    for flag, count in (("--tenants", args.tenants), ("--cache-warmup", args.cache_warmup)):
-        if count < 0:
-            raise ConfigError(f"{flag} expects a count >= 0, got {count}")
+    _at_least(0, ("--tenants", args.tenants),
+              ("--cache-warmup", args.cache_warmup))
+    _at_least(1, ("--workers", args.workers))
+    if args.cache_warmup and not args.dynamic_cache:
+        raise ConfigError(
+            f"--cache-warmup {args.cache_warmup} needs --dynamic-cache"
+        )
     tenancy = None
     if args.tenants > 0:
         from repro.control import TenancyConfig
@@ -515,9 +534,16 @@ def cmd_chaos(args) -> int:
         format_report,
         resilience_report,
     )
+    from repro.serve import WorkloadConfig
 
     cfg = _config(args)
     systems = _systems(args)
+    _at_least(1, ("--batches", args.batches), ("--workers", args.workers))
+    _check_qps([args.qps], f"{args.qps:g}")
+    try:  # the serving cells' stream, validated before any cell runs
+        WorkloadConfig(num_requests=args.requests, seed=args.seed)
+    except ConfigError as err:
+        raise ConfigError(f"--requests {args.requests}: {err}") from None
     if cfg.num_nodes > 1:
         multinode = [s for s in systems if s.startswith("DSP")]
         dropped = sorted(set(systems) - set(multinode))
@@ -569,6 +595,8 @@ def cmd_control(args) -> int:
     cfg = _config(args)
     scenarios = ([s for s in args.scenarios.split(",") if s]
                  if args.scenarios else list(CORE_SCENARIOS))
+    _at_least(1, ("--workers", args.workers))
+    _check_qps([args.qps], f"{args.qps:g}")
     label = args.arrival if args.drift_phases <= 1 else (
         f"{args.arrival}+drift{args.drift_phases}"
     )

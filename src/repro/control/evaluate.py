@@ -45,6 +45,18 @@ CORE_SCENARIOS = (
 )
 
 
+def _check_scenarios(scenarios) -> None:
+    """Fail fast on an unknown scenario name (``"none"`` is fault-free)."""
+    from repro.chaos.scenarios import SCENARIOS
+
+    for scenario in scenarios:
+        if scenario != "none" and scenario not in SCENARIOS:
+            raise ConfigError(
+                f"unknown scenario {scenario!r}; known: "
+                f"{['none', *sorted(SCENARIOS)]}"
+            )
+
+
 def control_cell(
     system_name: str,
     config,
@@ -63,11 +75,7 @@ def control_cell(
     from repro.core import build_system
     from repro.serve import ServeConfig, WorkloadConfig, make_workload
 
-    if scenario != "none" and scenario not in SCENARIOS:
-        raise ConfigError(
-            f"unknown scenario {scenario!r}; known: "
-            f"{['none', *sorted(SCENARIOS)]}"
-        )
+    _check_scenarios([scenario])
     serve_cfg = serve_config if serve_config is not None else ServeConfig()
     wl_cfg = (workload_config if workload_config is not None
               else WorkloadConfig(num_requests=requests, seed=config.seed))
@@ -135,6 +143,8 @@ def control_matrix(
     from repro.parallel import RunSpec, run_tasks
     from repro.serve import WorkloadConfig
 
+    scenarios = list(scenarios)
+    _check_scenarios(scenarios)  # before any cell runs
     if workload_configs is None:
         workload_configs = {
             "poisson": WorkloadConfig(num_requests=requests,

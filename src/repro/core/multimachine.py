@@ -83,12 +83,6 @@ class MultiMachineDSP(DSP):
         return [seeds[m :: self.num_machines] for m in range(self.num_machines)]
 
     # ------------------------------------------------------------------
-    def _sample(self, seeds_per_gpu):
-        """Machine 0's sample defines the trace; the other machines run
-        symmetric CSP on their own slices (functional part only)."""
-        samples, trace = super()._sample(seeds_per_gpu)
-        return samples, trace
-
     def _load(self, requests, gather=True):
         """Hot path as in DSP; cold path split local-shard (UVA) vs
         remote-shard (network round trip to the shard's machine)."""

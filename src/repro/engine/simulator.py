@@ -17,28 +17,21 @@ simulator raises :class:`~repro.utils.errors.DeadlockError` naming each
 blocked process and what it is waiting on — exactly the situation of
 the paper's Fig 8.
 
-Two interchangeable scheduler cores drive the loop (the event *order*
-is bit-identical between them; ``tests/engine/test_scheduler_equivalence``
-pins the contract):
-
-- the default **bucketed calendar core**: pending events live in a
-  ``{timestamp: [target, value, ...]}`` bucket table plus a heap of
-  *distinct* timestamps.  Scheduling into an existing timestamp is an
-  O(1) append — the near-monotonic, heavily duplicated timestamps the
-  serving tier produces (zero-delay queue handoffs, barrier releases,
-  quantized batcher deadlines) pay no heap traffic at all — and only
-  the first event of a new timestamp pays the O(log d) heap push
-  (``d`` = distinct pending times, the far-future fallback).  The run
-  loop dispatches **all events of one timestamp as a single batch**:
-  one ``now`` update and one invariant clock check per distinct time
-  instead of per event, with FIFO order preserved
-  because bucket appends happen in global scheduling order (what the
-  legacy core's per-event sequence counter enforced).
-- the legacy **heap core** (``use_heap_scheduler=True``, or env
-  ``REPRO_HEAP_SCHEDULER=1``): one ``(time, seq, target, value)``
-  binary heap, one push/pop per event — retained as the escape hatch
-  and as the reference the scheduler-equivalence tests compare the
-  bucketed core against.
+The scheduler is a **bucketed calendar**: pending events live in a
+``{timestamp: [target, value, ...]}`` bucket table plus a heap of
+*distinct* timestamps.  Scheduling into an existing timestamp is an
+O(1) append — the near-monotonic, heavily duplicated timestamps the
+serving tier produces (zero-delay queue handoffs, barrier releases,
+quantized batcher deadlines) pay no heap traffic at all — and only the
+first event of a new timestamp pays the O(log d) heap push (``d`` =
+distinct pending times, the far-future fallback).  The run loop
+dispatches **all events of one timestamp as a single batch**: one
+``now`` update and one invariant clock check per distinct time instead
+of per event, with FIFO order preserved because bucket appends happen
+in global scheduling order.  The event order is exactly that of a
+``(time, seq)`` binary heap with one push/pop per event;
+``tests/engine/test_scheduler_equivalence.py`` pins it against such a
+heap core, kept there as a test oracle.
 
 The hot path allocates nothing when ``sim.probe`` (:mod:`repro.obs.probe`)
 is None — no tracer, metrics or invariant checker attached: blocking
@@ -50,8 +43,6 @@ attached tracer asks for it.
 from __future__ import annotations
 
 import heapq
-import itertools
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterator
 
@@ -138,36 +129,18 @@ class Process:
 _BLOCKED = object()
 
 
-def _env_use_heap() -> bool:
-    """Resolve the scheduler escape hatch from the environment."""
-    return os.environ.get("REPRO_HEAP_SCHEDULER", "") not in ("", "0")
-
-
 class Simulator:
     """Event loop: schedules callbacks at simulated times, drives processes.
 
-    ``use_heap_scheduler`` selects the legacy single-heap core
-    (``None``, the default, reads the ``REPRO_HEAP_SCHEDULER``
-    environment variable, so whole suites can be replayed on the old
-    core without code changes).  Both cores dispatch events in the
-    identical (time, scheduling-order) sequence.  The optional
-    ``tracer``, ``metrics`` and ``invariants`` become :attr:`probe`.
+    The optional ``tracer``, ``metrics`` and ``invariants`` become
+    :attr:`probe`.
     """
 
-    def __init__(self, tracer=None, metrics=None,
-                 use_heap_scheduler: bool | None = None,
-                 invariants=None) -> None:
+    def __init__(self, tracer=None, metrics=None, invariants=None) -> None:
         self.now: float = 0.0
-        if use_heap_scheduler is None:
-            use_heap_scheduler = _env_use_heap()
-        self.use_heap_scheduler = bool(use_heap_scheduler)
-        # legacy core: entries are ``(time, seq, target, value)``;
-        # ``target`` is a Process (resume it with ``value``) or a bare
-        # callback — a tuple dispatch instead of a per-event lambda
-        self._heap: list[tuple[float, int, Any, Any]] = []
-        self._seq = itertools.count()
-        # bucketed core: timestamp -> flat [target, value, ...] pairs,
-        # plus a heap of the *distinct* pending timestamps
+        # timestamp -> flat [target, value, ...] pairs, plus a heap of
+        # the *distinct* pending timestamps; ``target`` is a Process
+        # (resume it with ``value``) or a bare callback
         self._buckets: dict[float, list] = {}
         self._times: list[float] = []
         self._processes: list[Process] = []
@@ -184,10 +157,7 @@ class Simulator:
     # scheduling
     # ------------------------------------------------------------------
     def _push(self, t: float, target: Any, value: Any) -> None:
-        """Enqueue one event; FIFO at equal times on both cores."""
-        if self.use_heap_scheduler:
-            heapq.heappush(self._heap, (t, next(self._seq), target, value))
-            return
+        """Enqueue one event; FIFO at equal times."""
         b = self._buckets.get(t)
         if b is None:
             self._buckets[t] = [target, value]
@@ -224,8 +194,8 @@ class Simulator:
         """Advance ``proc`` with ``value`` until it blocks or finishes.
 
         The instrumented trampoline: closes/opens wait spans through the
-        probe.  Used whenever a tracer is attached, and always by the
-        legacy heap core (whose behaviour it preserves verbatim).
+        probe.  Used whenever a tracer is attached; untraced runs use the
+        copy inlined into :meth:`_drain`.
         """
         if proc.block_label is not None:  # set only by a tracing probe
             self.probe.resumed(proc)
@@ -286,39 +256,13 @@ class Simulator:
     # ------------------------------------------------------------------
     # running
     # ------------------------------------------------------------------
-    def _drain_heap(self, until: float | None) -> bool:
-        """Legacy core: one heap pop per event.  Returns False when the
-        ``until`` cutoff was reached with events still pending."""
-        step = self._step
-        on_time = None if self.probe is None else self.probe.event_time
-        heap = self._heap
-        n = 0
-        try:
-            while heap:
-                t = heap[0][0]
-                if until is not None and t > until:
-                    self.now = until
-                    return False
-                _, _, target, value = heapq.heappop(heap)
-                self.now = t
-                n += 1
-                if on_time is not None:
-                    on_time(t)
-                if type(target) is Process:
-                    step(target, value)
-                else:
-                    target()
-        finally:
-            self.events_processed += n
-        return True
-
-    def _drain_buckets(self, until: float | None) -> bool:
-        """Bucketed core: dispatch all events of one timestamp as one
-        batch — a single ``now`` update and a single invariant clock
-        check per distinct time.  Events scheduled *at*
-        the batch's timestamp while it drains are appended to the live
+    def _drain(self, until: float | None) -> bool:
+        """Dispatch all events of one timestamp as one batch — a single
+        ``now`` update and a single invariant clock check per distinct
+        time.  Returns False when the ``until`` cutoff was reached with
+        events still pending.  Events scheduled *at* the batch's timestamp while it drains are appended to the live
         bucket and dispatched in the same pass, in scheduling order —
-        exactly the (time, seq) order of the legacy heap.
+        exactly the (time, seq) order of a per-event binary heap.
 
         The untraced process trampoline is inlined into the dispatch
         loop (no per-event method call): its semantics are
@@ -415,10 +359,7 @@ class Simulator:
         process is still blocked.
         """
         processed_before = self.events_processed
-        if self.use_heap_scheduler:
-            drained = self._drain_heap(until)
-        else:
-            drained = self._drain_buckets(until)
+        drained = self._drain(until)
         if self.probe is not None:
             # once drained, closes the wait spans of processes that
             # never resumed: a deadlock's stall attribution survives

@@ -19,21 +19,18 @@ matrices and kernel work counts for the cost engine, while the returned
 :class:`~repro.sampling.frontier.MiniBatchSample` objects carry the
 functional result used for feature loading and training.
 
-The shuffle/sample/reshuffle round has two implementations:
-
-- :meth:`CollectiveSampler._one_layer` — the **flat-batch fast path**:
-  all GPUs' frontiers are concatenated once, owners are computed with a
-  single range check, one global (owner, origin)-stable permutation
-  groups the tasks, both k x k byte matrices fall out of 2-D bincounts,
-  and exactly k ``sample_neighbors`` calls run on contiguous slices.
-  This mirrors the paper's "one fused kernel over a flat task list per
-  GPU" (§4.1) and is what every system uses.
-- :meth:`CollectiveSampler._reference_one_layer` — the original
-  per-(owner, origin) chunked implementation, kept as the executable
-  specification.  Both paths draw from the per-owner RNG streams in the
-  same order, so they are bit-identical (``tests/sampling/
-  test_csp_equivalence.py`` proves it; ``docs/performance.md`` states
-  the compatibility contract).
+The shuffle/sample/reshuffle round (:meth:`CollectiveSampler._one_layer`)
+is a **flat batch**: all GPUs' frontiers are concatenated once, owners
+are computed with a single range check, one global (owner,
+origin)-stable permutation groups the tasks, both k x k byte matrices
+fall out of 2-D bincounts, and exactly k ``sample_neighbors`` calls run
+on contiguous slices.  This mirrors the paper's "one fused kernel over
+a flat task list per GPU" (§4.1).  The seed's per-(owner, origin)
+chunked round is kept under ``tests/sampling/reference_csp.py`` as the
+executable specification: it draws from the per-owner RNG streams in
+the same order, so the two are bit-identical
+(``tests/sampling/test_csp_equivalence.py`` proves it;
+``docs/performance.md`` states the compatibility contract).
 """
 
 from __future__ import annotations
@@ -112,12 +109,8 @@ class CollectiveSampler:
         self.part_offsets = part_offsets
         self.num_gpus = len(patches)
         self.rngs = spawn_rngs(make_rng(seed), self.num_gpus)
-        #: flip to False to run the chunked reference implementation of
-        #: the shuffle/sample/reshuffle round (same RNG stream, same
-        #: results, slower — used by the equivalence tests)
-        self.use_fast_path: bool = True
-        # scratch flag array for bounded-domain dedup (fast path): node
-        # ids are < part_offsets[-1], so "unique" is a scatter + scan
+        # scratch flag array for bounded-domain dedup: node ids are
+        # < part_offsets[-1], so "unique" is a scatter + scan
         self._seen = np.zeros(int(part_offsets[-1]), dtype=bool)
         # GNS-style cached-node bias (opt-in via set_cache_bias); when
         # None — the default — every sampling call below is exactly the
@@ -274,11 +267,7 @@ class CollectiveSampler:
             else:
                 quotas = [np.full(len(f), budget, dtype=np.int64) for f in frontiers]
 
-            impl = (
-                self._one_layer if self.use_fast_path
-                else self._reference_one_layer
-            )
-            layer_blocks, t, s, loc = impl(
+            layer_blocks, t, s, loc = self._one_layer(
                 frontiers, quotas, config, trace, layer, owners
             )
             tasks_total += t
@@ -286,32 +275,28 @@ class CollectiveSampler:
             local_tasks += loc
             for g, block in enumerate(layer_blocks):
                 blocks_per_gpu[g].append(block)
-            if self.use_fast_path:
-                # bounded-domain dedup, seeding each block's all_nodes
-                # cache (bit-identical to the lazy np.unique)
-                frontiers = []
-                for block in layer_blocks:
-                    ids = self._unique_ids(block.dst_nodes, block.src_nodes)
-                    block.__dict__["all_nodes"] = ids
-                    frontiers.append(ids)
-            else:
-                frontiers = [next_frontier(b) for b in layer_blocks]
+            # bounded-domain dedup, seeding each block's all_nodes
+            # cache (bit-identical to the lazy np.unique)
+            frontiers = []
+            for block in layer_blocks:
+                ids = self._unique_ids(block.dst_nodes, block.src_nodes)
+                block.__dict__["all_nodes"] = ids
+                frontiers.append(ids)
 
         samples = []
         for g in range(self.num_gpus):
             sample = MiniBatchSample(
                 seeds=seeds[g], blocks=tuple(blocks_per_gpu[g])
             )
-            if self.use_fast_path:
-                sample.__dict__["all_nodes"] = self._unique_ids(
-                    *(b.all_nodes for b in sample.blocks)
-                )
+            sample.__dict__["all_nodes"] = self._unique_ids(
+                *(b.all_nodes for b in sample.blocks)
+            )
             samples.append(sample)
         stats = CSPStats(tasks_total, sampled_total, local_tasks)
         return samples, trace, stats
 
     # ------------------------------------------------------------------
-    # one shuffle / sample / reshuffle round — flat-batch fast path
+    # one shuffle / sample / reshuffle round
     # ------------------------------------------------------------------
     def _one_layer(
         self,
@@ -422,109 +407,6 @@ class CollectiveSampler:
         tasks_total = n
         sampled_total = int(len(src_flat))
         local_tasks = int(np.trace(owner_counts))
-        return blocks, tasks_total, sampled_total, local_tasks
-
-    # ------------------------------------------------------------------
-    # chunked reference implementation (executable specification)
-    # ------------------------------------------------------------------
-    def _reference_one_layer(
-        self,
-        frontiers: list[np.ndarray],
-        quotas: list[np.ndarray],
-        config: CSPConfig,
-        trace: OpTrace,
-        layer: int,
-        owners: list[np.ndarray] | None = None,
-    ) -> tuple[list[Block], int, int, int]:
-        """The original per-(owner, origin) chunked round.
-
-        Kept verbatim as the executable specification of the fast path:
-        ``tests/sampling/test_csp_equivalence.py`` asserts both paths
-        return byte-identical blocks, traces and stats from identical
-        RNG streams.  ``owners`` is accepted (and ignored) so the two
-        implementations are signature-compatible.
-        """
-        del owners  # the reference recomputes them, as the seed did
-        k = self.num_gpus
-        per_task_bytes = ID_BYTES * (2 if config.scheme == "layer" else 1)
-
-        # ---- shuffle: group each GPU's tasks by owner -------------------
-        perms, owner_counts = [], np.zeros((k, k), dtype=np.int64)
-        for g, frontier in enumerate(frontiers):
-            owners_g = self.owner_of(frontier)
-            perm = np.argsort(owners_g, kind="stable")
-            perms.append(perm)
-            owner_counts[g] = np.bincount(owners_g, minlength=k)
-        shuffle = owner_counts.astype(np.float64) * per_task_bytes
-        trace.add(AllToAll(np.where(np.eye(k, dtype=bool), 0.0, shuffle),
-                           label=f"shuffle-L{layer}"))
-
-        # ---- sample: one fused kernel per owner GPU ---------------------
-        # owner o receives, for each origin g, a contiguous slice of g's
-        # owner-sorted frontier
-        src_by_owner_origin: list[list[np.ndarray]] = [[] for _ in range(k)]
-        cnt_by_owner_origin: list[list[np.ndarray]] = [[] for _ in range(k)]
-        kernel_work = np.zeros(k, dtype=np.float64)
-        reshuffle = np.zeros((k, k), dtype=np.float64)
-
-        slice_bounds = [np.concatenate([[0], np.cumsum(owner_counts[g])])
-                        for g in range(k)]
-        patches, biased = self._sampling_patches(config)
-        for o, patch in enumerate(patches):
-            task_chunks, quota_chunks, origin_sizes = [], [], []
-            for g in range(k):
-                lo, hi = slice_bounds[g][o], slice_bounds[g][o + 1]
-                sel = perms[g][lo:hi]
-                task_chunks.append(frontiers[g][sel])
-                quota_chunks.append(quotas[g][sel])
-                origin_sizes.append(hi - lo)
-            tasks = np.concatenate(task_chunks) if task_chunks else np.empty(0, np.int64)
-            quota = np.concatenate(quota_chunks) if quota_chunks else np.empty(0, np.int64)
-            src, counts = sample_neighbors(
-                patch,
-                tasks - patch.base,
-                quota,
-                rng=self.rngs[o],
-                replace=config.replace,
-                biased=biased,
-            )
-            kernel_work[o] = float(counts.sum())
-            # split the results back per origin
-            cuts = np.cumsum(origin_sizes)[:-1]
-            counts_split = np.split(counts, cuts)
-            src_cuts = np.cumsum([c.sum() for c in counts_split])[:-1]
-            src_split = np.split(src, src_cuts)
-            for g in range(k):
-                cnt_by_owner_origin[o].append(counts_split[g])
-                src_by_owner_origin[o].append(src_split[g])
-                reshuffle[o, g] = (
-                    src_split[g].nbytes + counts_split[g].nbytes
-                )
-
-        trace.add(LocalKernel("sample", kernel_work, label=f"sample-L{layer}"))
-        trace.add(AllToAll(np.where(np.eye(k, dtype=bool), 0.0, reshuffle),
-                           label=f"reshuffle-L{layer}"))
-
-        # ---- reassemble blocks on the origin GPUs -----------------------
-        blocks = []
-        tasks_total = sampled_total = local_tasks = 0
-        for g in range(k):
-            counts_perm = np.concatenate(
-                [cnt_by_owner_origin[o][g] for o in range(k)]
-            )
-            src_perm = np.concatenate([src_by_owner_origin[o][g] for o in range(k)])
-            # counts_perm aligns with frontiers[g][perms[g]]; un-permute
-            inv = np.empty_like(perms[g])
-            inv[perms[g]] = np.arange(len(perms[g]))
-            starts_perm = np.concatenate([[0], np.cumsum(counts_perm)])[:-1]
-            counts = counts_perm[inv]
-            gather = np.repeat(starts_perm[inv], counts) + _ranges(counts)
-            src = src_perm[gather]
-            offsets = np.concatenate([[0], np.cumsum(counts)])
-            blocks.append(Block(frontiers[g], src, offsets))
-            tasks_total += len(frontiers[g])
-            sampled_total += len(src)
-            local_tasks += int(owner_counts[g, g])
         return blocks, tasks_total, sampled_total, local_tasks
 
     # ------------------------------------------------------------------

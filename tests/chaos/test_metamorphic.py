@@ -19,6 +19,7 @@ from repro.chaos.faults import (
     LinkFlap,
 )
 from repro.core import RunConfig, build_system
+from tests.sampling.reference_csp import use_reference_round
 
 CFG = RunConfig(dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
                 fanout=(5, 3), seed=0)
@@ -50,7 +51,7 @@ def _capture_samples(system):
 def _run(system_name, fast_path, plan):
     system = build_system(system_name, CFG)
     if not fast_path:
-        system.sampler.use_fast_path = False
+        use_reference_round(system.sampler)
     captured = _capture_samples(system)
     chaos = ChaosRuntime(plan)
     metrics = system.run_epoch(max_batches=BATCHES, functional=True,

@@ -20,26 +20,35 @@ from repro.chaos.scenarios import run_scenario
 from repro.core import RunConfig
 from repro.engine import Simulator
 from repro.utils.errors import ConfigError
+from tests.engine.reference_core import HeapSimulator
 
 SYSTEMS = ("DSP", "DSP-Pull", "DGL-UVA")
 CFG = RunConfig(dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
                 fanout=(5, 3), seed=0)
 
 #: sha256 of ``json.dumps(matrix, sort_keys=True)`` for the fixture
-#: below, per scheduler core (keyed by ``use_heap_scheduler``): the
-#: invariant ``checks`` totals count dispatch batches on the bucketed
-#: core and single events on the heap core; every other field is equal
+#: below, per scheduler core class: the invariant ``checks`` totals
+#: count dispatch batches on the engine's bucketed core and single
+#: events on the heap-core oracle; every other field is equal
 MATRIX_SHA256 = {
-    False: "a5bf8e6c1d1e3ef9f45cd42583c8f3551075145af6b490be5ec292a644dc6f6a",
-    True: "c1a42edad9518c2965fda9751b8bce654105817b18d2edbb48447f16fd69a9c4",
+    Simulator: "a5bf8e6c1d1e3ef9f45cd42583c8f3551075145af6b490be5ec292a644dc6f6a",
+    HeapSimulator: "c1a42edad9518c2965fda9751b8bce654105817b18d2edbb48447f16fd69a9c4",
 }
+
+
+def _matrix():
+    return resilience_report(SYSTEMS, sorted(SCENARIOS), CFG,
+                             max_batches=4, requests=64, qps=2000.0)
+
+
+def _sha(matrix) -> str:
+    return hashlib.sha256(json.dumps(matrix, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
 def matrix():
     """The full resilience matrix, computed once for the module."""
-    return resilience_report(SYSTEMS, sorted(SCENARIOS), CFG,
-                             max_batches=4, requests=64, qps=2000.0)
+    return _matrix()
 
 
 def _cell(matrix, system, scenario):
@@ -77,9 +86,11 @@ class TestMatrixShape:
     def test_pinned_digest(self, matrix):
         """The whole matrix, byte for byte: a refactor of the chaos,
         serving or control layers must not move any cell."""
-        blob = json.dumps(matrix, sort_keys=True).encode()
-        expected = MATRIX_SHA256[Simulator().use_heap_scheduler]
-        assert hashlib.sha256(blob).hexdigest() == expected
+        assert _sha(matrix) == MATRIX_SHA256[Simulator]
+
+    def test_pinned_digest_on_heap_core(self, heap_core):
+        """The same matrix on the heap-core oracle."""
+        assert _sha(_matrix()) == MATRIX_SHA256[heap_core]
 
     def test_unknown_scenario_fails_fast(self):
         with pytest.raises(ConfigError):

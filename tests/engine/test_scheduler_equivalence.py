@@ -1,7 +1,8 @@
-"""Bit-identical equivalence of the two scheduler cores.
+"""Bit-identical equivalence of the engine core and the heap oracle.
 
-The bucketed calendar core (the default) must dispatch events in
-exactly the order of the legacy ``(time, seq)`` heap core — same event
+The bucketed calendar core (:class:`Simulator`) must dispatch events in
+exactly the order of the ``(time, seq)`` heap core kept as a test
+oracle (:class:`HeapSimulator`, ``reference_core.py``) — same event
 log, same final clock, same ``events_processed``, same deadlock
 forensics.  These tests drive *randomly generated programs* (mixed
 timeouts with heavily duplicated timestamps, queue put/get chains,
@@ -23,6 +24,7 @@ from repro.engine import (
     Timeout,
 )
 from repro.utils import DeadlockError
+from tests.engine.reference_core import HeapSimulator
 
 #: quantized delays: many events share a timestamp, which is exactly
 #: the case the bucketed core optimizes (and where ordering bugs hide)
@@ -58,12 +60,12 @@ def _random_program(rng: random.Random, max_procs: int = 6,
     }
 
 
-def _run_program(program: dict, use_heap: bool, until=None,
+def _run_program(program: dict, core: type[Simulator], until=None,
                  tracer=None):
     """Execute a program spec on one core; returns every observable:
     the event log, final clock, events_processed, and the deadlock
     message (None if the run completed)."""
-    sim = Simulator(tracer=tracer, use_heap_scheduler=use_heap)
+    sim = core(tracer=tracer)
     queues = [BoundedQueue(sim, 2, name=f"q{i}")
               for i in range(program["queues"])]
     resources = [Resource(sim, capacity=3, name=f"r{i}")
@@ -108,8 +110,8 @@ def _run_program(program: dict, use_heap: bool, until=None,
 
 
 def _assert_identical(program: dict, until=None):
-    heap = _run_program(program, use_heap=True, until=until)
-    bucket = _run_program(program, use_heap=False, until=until)
+    heap = _run_program(program, HeapSimulator, until=until)
+    bucket = _run_program(program, Simulator, until=until)
     assert bucket["log"] == heap["log"]
     assert bucket["now"] == heap["now"]  # bit-identical, not approx
     assert bucket["events"] == heap["events"]
@@ -140,8 +142,8 @@ class TestDuplicateTimestamps:
     def test_zero_delay_storm_is_fifo_on_both_cores(self):
         """Zero-delay chains scheduled during a dispatch batch run in
         scheduling order on both cores (the live-bucket append case)."""
-        def program_log(use_heap):
-            sim = Simulator(use_heap_scheduler=use_heap)
+        def program_log(core):
+            sim = core()
             order = []
 
             def chain(name, depth):
@@ -154,14 +156,14 @@ class TestDuplicateTimestamps:
             sim.run()
             return order, sim.events_processed
 
-        heap_order, heap_ev = program_log(True)
-        bucket_order, bucket_ev = program_log(False)
+        heap_order, heap_ev = program_log(HeapSimulator)
+        bucket_order, bucket_ev = program_log(Simulator)
         assert bucket_order == heap_order
         assert bucket_ev == heap_ev
 
     def test_same_time_callbacks_interleave_identically(self):
-        def run(use_heap):
-            sim = Simulator(use_heap_scheduler=use_heap)
+        def run(core):
+            sim = core()
             hits = []
             for i in range(6):
                 sim.schedule(0.5, lambda i=i: hits.append(i))
@@ -169,7 +171,7 @@ class TestDuplicateTimestamps:
             sim.run()
             return hits
 
-        assert run(False) == run(True)
+        assert run(Simulator) == run(HeapSimulator)
 
 
 class TestRendezvousTimerStorm:
@@ -180,9 +182,9 @@ class TestRendezvousTimerStorm:
     this mix does."""
 
     @staticmethod
-    def _drive(use_heap: bool, pairs: int, rounds: int,
+    def _drive(core: type[Simulator], pairs: int, rounds: int,
                barrier_every: int) -> Simulator:
-        sim = Simulator(use_heap_scheduler=use_heap)
+        sim = core()
         sm = Resource(sim, capacity=max(2, pairs // 2), name="sm")
         rdv = Rendezvous(sim, name="rdv")
         queues = [BoundedQueue(sim, 4, name=f"q{i}") for i in range(pairs)]
@@ -221,9 +223,9 @@ class TestRendezvousTimerStorm:
 
     @pytest.mark.parametrize("barrier_every", [1, 16])
     def test_cores_agree(self, barrier_every):
-        heap = self._drive(True, pairs=8, rounds=60,
+        heap = self._drive(HeapSimulator, pairs=8, rounds=60,
                            barrier_every=barrier_every)
-        bucket = self._drive(False, pairs=8, rounds=60,
+        bucket = self._drive(Simulator, pairs=8, rounds=60,
                              barrier_every=barrier_every)
         assert bucket.now == heap.now  # bit-identical, not approx
         assert bucket.events_processed == heap.events_processed
@@ -234,8 +236,8 @@ class TestDeadlockForensics:
         """Both cores name the same blocked processes with the same
         formatted waiting_on labels (the lazy descriptors render to the
         legacy strings)."""
-        def run(use_heap):
-            sim = Simulator(use_heap_scheduler=use_heap)
+        def run(core):
+            sim = core()
             q = BoundedQueue(sim, 1, name="stuckq")
             r = Resource(sim, capacity=1, name="sm")
 
@@ -257,8 +259,8 @@ class TestDeadlockForensics:
                 sim.run()
             return str(err.value), dict(err.value.waiting)
 
-        heap_msg, heap_waiting = run(True)
-        bucket_msg, bucket_waiting = run(False)
+        heap_msg, heap_waiting = run(HeapSimulator)
+        bucket_msg, bucket_waiting = run(Simulator)
         assert bucket_msg == heap_msg
         assert bucket_waiting == heap_waiting
         assert heap_waiting["getter"] == "get(stuckq)"
@@ -275,22 +277,10 @@ class TestTracedUntracedConsistency:
         from repro.obs import Tracer
 
         program = _random_program(random.Random(2000 + seed))
-        plain = _run_program(program, use_heap=False)
-        traced = _run_program(program, use_heap=False, tracer=Tracer())
+        plain = _run_program(program, Simulator)
+        traced = _run_program(program, Simulator, tracer=Tracer())
         assert traced["log"] == plain["log"]
         assert traced["now"] == plain["now"]
         assert traced["events"] == plain["events"]
         assert traced["deadlock"] == plain["deadlock"]
 
-
-class TestEnvEscapeHatch:
-    def test_env_var_selects_heap_core(self, monkeypatch):
-        monkeypatch.setenv("REPRO_HEAP_SCHEDULER", "1")
-        assert Simulator().use_heap_scheduler is True
-        monkeypatch.setenv("REPRO_HEAP_SCHEDULER", "0")
-        assert Simulator().use_heap_scheduler is False
-        monkeypatch.delenv("REPRO_HEAP_SCHEDULER")
-        assert Simulator().use_heap_scheduler is False
-        # explicit argument wins over the environment
-        monkeypatch.setenv("REPRO_HEAP_SCHEDULER", "1")
-        assert Simulator(use_heap_scheduler=False).use_heap_scheduler is False

@@ -5,6 +5,7 @@ import pytest
 from repro.engine import Simulator, Timeout
 from repro.engine.simulator import Process
 from repro.utils import ReproError
+from tests.engine.reference_core import HeapSimulator
 
 
 class TestEventLoop:
@@ -103,7 +104,7 @@ class TestEventLoop:
 class TestEventsProcessed:
     @pytest.mark.parametrize("use_heap", [False, True])
     def test_counts_every_dispatch(self, use_heap):
-        sim = Simulator(use_heap_scheduler=use_heap)
+        sim = HeapSimulator() if use_heap else Simulator()
 
         def proc():
             yield Timeout(1.0)
@@ -177,18 +178,3 @@ class TestLazyWaitingOn:
         sim.run()
         assert p.waiting_on is None and p.done
 
-
-class TestSchedulerSelection:
-    def test_default_is_bucketed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_HEAP_SCHEDULER", raising=False)
-        assert Simulator().use_heap_scheduler is False
-
-    def test_flag_selects_heap(self):
-        sim = Simulator(use_heap_scheduler=True)
-        assert sim.use_heap_scheduler is True
-
-        def proc():
-            yield Timeout(1.0)
-
-        sim.spawn(proc())
-        assert sim.run() == pytest.approx(1.0)

@@ -8,8 +8,10 @@ export of a metrics registry, and a traced chaos epoch.  Any change to
 what the tracer, the registry or the invariant checker records — or to
 the order it records it in — changes a digest.
 
-Both scheduler cores produce the same bytes, so one digest per case
-holds under ``REPRO_HEAP_SCHEDULER=1`` too.
+The engine's bucketed core and the heap-core oracle
+(``tests/engine/reference_core.py``) produce the same bytes, so one
+digest per case holds on both: the last test replays every case on the
+heap core.
 """
 
 import hashlib
@@ -153,3 +155,16 @@ def test_traced_chaos_epoch():
     got = {"trace": sha(json.dumps(doc)),
            "jsonl": sha(to_jsonl(reg))}
     assert got == CHAOS
+
+
+def test_every_case_on_heap_core(heap_core, tmp_path, capsys):
+    for system in sorted(TRACE):
+        case_dir = tmp_path / f"trace-{system}"
+        case_dir.mkdir()
+        test_trace_command(case_dir, capsys, system)
+    case_dir = tmp_path / "serve"
+    case_dir.mkdir()
+    test_serve_sweep(case_dir, capsys)
+    test_epoch_registry_jsonl()
+    test_serve_registry_jsonl()
+    test_traced_chaos_epoch()

@@ -2,9 +2,9 @@
 
 Contracts (docs/caching.md): bias off — whether never set, set to 0,
 or set then cleared — is the *exact* original sampling path, bit for
-bit, on both the fast path and the chunked reference; bias on skews
-neighbour draws toward cache-resident nodes without changing which
-nodes can be sampled; ``refresh_cache_bias`` tracks the store's
+bit, on both the flat round and the chunked reference oracle; bias on
+skews neighbour draws toward cache-resident nodes without changing
+which nodes can be sampled; ``refresh_cache_bias`` tracks the store's
 current resident set (the dynamic policy calls it via ``on_change``).
 """
 
@@ -17,6 +17,7 @@ from repro.cache.store import PartitionedCache
 from repro.graph import dcsbm_graph, metis_partition, renumber_by_partition
 from repro.sampling import CollectiveSampler, CSPConfig
 from repro.utils import ConfigError
+from tests.sampling.reference_csp import use_reference_round
 
 K = 4
 
@@ -75,7 +76,9 @@ class TestDisabledIsIdentity:
         rng = np.random.default_rng(3)
         seeds = _seeds(_sampler(), rng)
         plain, biased = _sampler(), _sampler()
-        plain.use_fast_path = biased.use_fast_path = fast
+        if not fast:
+            use_reference_round(plain)
+            use_reference_round(biased)
         biased.set_cache_bias(_store(), 0.0)
         _assert_same(_run(plain, seeds), _run(biased, seeds))
 
@@ -103,8 +106,7 @@ class TestEnabled:
         rng = np.random.default_rng(6)
         seeds = _seeds(_sampler(), rng)
         store = _store()
-        fast, ref = _sampler(), _sampler()
-        ref.use_fast_path = False
+        fast, ref = _sampler(), use_reference_round(_sampler())
         fast.set_cache_bias(store, 2.0)
         ref.set_cache_bias(store, 2.0)
         _assert_same(_run(fast, seeds), _run(ref, seeds))

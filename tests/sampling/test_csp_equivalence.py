@@ -1,9 +1,9 @@
 """Flat-batch fast path vs chunked reference: bit-for-bit equivalence.
 
 The CSP shuffle/sample/reshuffle round has two implementations (see
-``docs/performance.md``): the flat-batch fast path every system uses,
-and the seed's per-(owner, origin) chunked round kept as
-``CollectiveSampler._reference_one_layer``.  Both consume the per-owner
+``docs/performance.md``): the flat-batch ``CollectiveSampler._one_layer``
+every system uses, and the seed's per-(owner, origin) chunked round
+kept as a test oracle in ``reference_csp.py``.  Both consume the per-owner
 RNG streams in the same order, so with equal seeds they must return
 byte-identical :class:`MiniBatchSample` blocks, ``OpTrace`` matrices
 and ``CSPStats`` — this suite asserts exactly that across every
@@ -19,6 +19,10 @@ import pytest
 
 from repro.graph import dcsbm_graph, metis_partition, renumber_by_partition
 from repro.sampling import CollectiveSampler, CSPConfig
+from tests.sampling.reference_csp import (
+    reference_one_layer,
+    use_reference_round,
+)
 
 GPU_COUNTS = (1, 2, 4, 8)
 
@@ -42,8 +46,7 @@ def _sampler_pair(k: int, weighted: bool, seed: int = 0):
     offsets = np.asarray(offsets, dtype=np.int64)
     fast = CollectiveSampler.from_partitioned(rgraph, offsets, seed=seed)
     ref = CollectiveSampler.from_partitioned(rgraph, offsets, seed=seed)
-    ref.use_fast_path = False
-    return fast, ref
+    return fast, use_reference_round(ref)
 
 
 def _random_seeds(sampler, rng, allow_empty=True):
@@ -127,6 +130,7 @@ def test_zero_fanout_layer():
 
 
 def test_fast_path_is_the_default():
+    """The oracle binds onto one instance; samplers run the flat round."""
     fast, ref = _sampler_pair(2, weighted=False)
-    assert fast.use_fast_path is True
-    assert ref.use_fast_path is False
+    assert fast._one_layer.__func__ is CollectiveSampler._one_layer
+    assert ref._one_layer.__func__ is reference_one_layer

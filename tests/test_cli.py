@@ -166,10 +166,15 @@ class TestCLI:
         ["--metrics", "--metrics-window-ms", "-1"],
         ["--tenants", "-1"],
         ["--cache-warmup", "-1"],
+        ["--workers", "0"],
+        ["--workers", "-3"],
+        ["--qps", "inf"],
+        ["--cache-warmup", "4"],
     ], ids=["scale-range", "qps", "zero-replicas", "fanout", "zero-qps",
             "zero-batch-max", "zero-queue", "negative-timeout",
             "zero-window", "negative-window", "negative-tenants",
-            "negative-warmup"])
+            "negative-warmup", "zero-workers", "negative-workers",
+            "inf-qps", "warmup-without-dynamic-cache"])
     def test_serve_bad_input_is_one_line_error(self, capsys, bad):
         assert main(["serve", *ARGS, "--requests", "8", *bad]) == 1
         err = capsys.readouterr().err
@@ -178,6 +183,7 @@ class TestCLI:
     @pytest.mark.parametrize("flag,value", [
         ("--metrics-window-ms", "0"), ("--metrics-window-ms", "-1"),
         ("--tenants", "-1"), ("--cache-warmup", "-1"),
+        ("--workers", "0"), ("--workers", "-3"),
     ])
     def test_count_and_window_errors_name_flag_and_value(self, capsys, flag,
                                                          value):
@@ -185,6 +191,38 @@ class TestCLI:
                      flag, value]) == 1
         err = capsys.readouterr().err
         assert flag in err and f"got {value}" in err
+
+    @pytest.mark.parametrize("bad,needles", [
+        (["--qps", "inf"], ["--qps", "'inf'"]),
+        (["--cache-warmup", "4"], ["--cache-warmup 4", "--dynamic-cache"]),
+    ], ids=["inf-qps", "warmup-without-dynamic-cache"])
+    def test_silent_accepts_name_flag_and_value(self, capsys, bad, needles):
+        assert main(["serve", *ARGS, "--requests", "8", *bad]) == 1
+        err = capsys.readouterr().err
+        assert all(n in err for n in needles), err
+
+    @pytest.mark.parametrize("command,bad,needle", [
+        ("compare", ["--batches", "0"], "--batches"),
+        ("compare", ["--workers", "0"], "--workers"),
+        ("chaos", ["--batches", "0"], "--batches"),
+        ("chaos", ["--requests", "0"], "--requests"),
+        ("chaos", ["--qps", "inf"], "--qps"),
+        ("chaos", ["--workers", "0"], "--workers"),
+        ("control", ["--qps", "-1", "--scenarios", "none"], "--qps"),
+        ("control", ["--scenarios", "nope"], "'nope'"),
+        ("control", ["--workers", "-3"], "--workers"),
+    ], ids=["compare-zero-batches", "compare-zero-workers",
+            "chaos-zero-batches", "chaos-zero-requests", "chaos-inf-qps",
+            "chaos-zero-workers", "control-negative-qps",
+            "control-unknown-scenario", "control-negative-workers"])
+    def test_fan_out_bad_input_is_one_line_error(self, capsys, command, bad,
+                                                 needle):
+        """Rejected before any task reaches ``run_tasks``, so the error
+        is one line instead of a worker's traceback."""
+        assert main([command, *ARGS, *bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert needle in err
 
     def test_qps_error_names_flag_and_value(self, capsys):
         assert main(["serve", *ARGS, "--requests", "8",
