@@ -258,15 +258,14 @@ def _run_serve_scenario(system_name: str, sc: Scenario, config,
                         controller=None) -> dict:
     import numpy as np
 
-    from repro.core import build_system
+    from repro.graph import load_dataset
     from repro.serve import ServeConfig, WorkloadConfig, make_workload
 
     serve_cfg = ServeConfig()
     wl_cfg = WorkloadConfig(num_requests=requests, seed=config.seed)
     # one workload shared by both passes, in the dataset's original ids
-    probe = build_system(system_name, config)
-    workload = make_workload(wl_cfg, np.arange(probe.base_dataset.num_nodes))
-    del probe
+    workload = make_workload(wl_cfg,
+                             np.arange(load_dataset(config.dataset).num_nodes))
 
     base, base_inv, base_slo, _ = _serve_pass(
         system_name, config, serve_cfg, workload, qps, FaultPlan()

@@ -215,6 +215,10 @@ def _serve_config(args, **extra):
 def _workload_config(args):
     from repro.serve import WorkloadConfig
 
+    _at_least(1, ("--requests", args.requests),
+              ("--drift-phases", args.drift_phases))
+    if not args.skew >= 0:
+        raise ConfigError(f"--skew expects an exponent >= 0, got {args.skew:g}")
     return WorkloadConfig(
         num_requests=args.requests,
         arrival=args.arrival,
@@ -473,6 +477,7 @@ def cmd_trace(args) -> int:
     from repro.utils import DeadlockError
 
     cfg = _config(args)
+    _at_least(1, ("--batches", args.batches))
     system = build_system(args.system, cfg)
     tracer = Tracer()
     deadlock = None
@@ -534,16 +539,11 @@ def cmd_chaos(args) -> int:
         format_report,
         resilience_report,
     )
-    from repro.serve import WorkloadConfig
-
     cfg = _config(args)
     systems = _systems(args)
-    _at_least(1, ("--batches", args.batches), ("--workers", args.workers))
+    _at_least(1, ("--batches", args.batches), ("--requests", args.requests),
+              ("--workers", args.workers))
     _check_qps([args.qps], f"{args.qps:g}")
-    try:  # the serving cells' stream, validated before any cell runs
-        WorkloadConfig(num_requests=args.requests, seed=args.seed)
-    except ConfigError as err:
-        raise ConfigError(f"--requests {args.requests}: {err}") from None
     if cfg.num_nodes > 1:
         multinode = [s for s in systems if s.startswith("DSP")]
         dropped = sorted(set(systems) - set(multinode))

@@ -72,16 +72,15 @@ def control_cell(
 
     from repro.chaos.faults import FaultPlan
     from repro.chaos.scenarios import SCENARIOS, _serve_pass
-    from repro.core import build_system
+    from repro.graph import load_dataset
     from repro.serve import ServeConfig, WorkloadConfig, make_workload
 
     _check_scenarios([scenario])
     serve_cfg = serve_config if serve_config is not None else ServeConfig()
     wl_cfg = (workload_config if workload_config is not None
               else WorkloadConfig(num_requests=requests, seed=config.seed))
-    probe = build_system(system_name, config)
-    workload = make_workload(wl_cfg, np.arange(probe.base_dataset.num_nodes))
-    del probe
+    workload = make_workload(wl_cfg,
+                             np.arange(load_dataset(config.dataset).num_nodes))
 
     base, _, base_slo, _ = _serve_pass(
         system_name, config, serve_cfg, workload, qps, FaultPlan()

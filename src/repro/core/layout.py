@@ -66,10 +66,6 @@ class DSPLayout:
             cold += int(deg[mask].sum())
         return 1.0 - cold / total
 
-    @property
-    def feature_coverage(self) -> float:
-        return self.store.total_cached / len(self.store.owner)
-
 
 def plan_layout(
     dataset: Dataset,

@@ -7,7 +7,8 @@ Workers of *different* mini-batches overlap: while the trainer computes
 batch ``t``, the loader fetches features for ``t + 1`` and the sampler
 builds graph samples for ``t + 2``.
 
-Collective kernels acquire one of the GPU's communication channels and
+Every op runs through :class:`~repro.engine.gpu.GpuExecutor`:
+collective kernels acquire one of the GPU's communication channels and
 an SM-thread footprint, then rendezvous with their peers — the
 conditions that can deadlock (Fig 8).  With ``ccc=True`` a
 :class:`~repro.engine.coordination.LaunchGate` serializes the launch
@@ -35,14 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.cost import OpCost
 from repro.engine import (
     ROUND_ABANDONED,
     BoundedQueue,
     CollectiveGuard,
+    GpuExecutor,
     LaunchGate,
     Rendezvous,
-    Resource,
     Simulator,
 )
 from repro.engine.simulator import Timeout
@@ -171,14 +171,8 @@ class PipelineRunner:
         probe = sim.probe
         if inj is not None:
             inj.install(sim)
-        threads = [
-            Resource(sim, self.cluster.gpu.total_threads, name=f"gpu{g}-sm")
-            for g in range(k)
-        ]
-        channels = [
-            Resource(sim, self.comm_channels, name=f"gpu{g}-comm")
-            for g in range(k)
-        ]
+        gpus = GpuExecutor(sim, k, self.cluster.gpu.total_threads,
+                           self.comm_channels, injector=inj)
         barrier = Rendezvous(sim, name="collective")
         gate = LaunchGate(sim, k) if (self.ccc and k > 1) else None
         guard = None
@@ -199,65 +193,35 @@ class PipelineRunner:
             if probe is not None:
                 probe.stage_lost(g, stage, t, reason)
 
-        def stage_done(g: int, stage: str, t: int) -> None:
+        def join(g: int, tag):
+            """A collective's rendezvous; True when the round was abandoned."""
+            if guard is None:
+                yield barrier.arrive(tag, k)
+                return False
+            if inj is not None:
+                d = inj.collective_delay(g)
+                if d > 0.0:
+                    yield Timeout(d)
+                # a dropped participant goes dark for the window
+                d = inj.drop_wait(g)
+                if d > 0.0:
+                    yield Timeout(d)
+            outcome = yield from guard.join(tag, k)
+            return outcome == ROUND_ABANDONED
+
+        def run_stage(g: int, stage: str, t: int, track: str):
+            for i, cost in enumerate(self.batches[t][stage]):
+                tag = (stage, t, i)
+                # a local kernel runs for this GPU's share, the rest for
+                # the whole op's barrier wall time
+                local = not (cost.collective or cost.host)
+                dur = float(cost.per_gpu[g] if local else cost.stage)
+                start, degraded = yield from gpus.run(g, cost, dur, tag,
+                                                      gate, join)
+                if probe is not None:
+                    probe.op_done(track, cost, tag, g, start, k, degraded)
             if probe is not None:
                 probe.stage_done(g, stage, t, self.batch_info)
-
-        def run_op(g: int, cost: OpCost, tag, track: str = ""):
-            t0 = sim.now
-            footprint = min(cost.threads, threads[g].capacity)
-            degraded = False
-            if cost.host:
-                # host-side work: the GPU just waits
-                if inj is not None:
-                    bw = inj.blackout_wait(cost)
-                    if bw > 0.0:
-                        yield Timeout(bw)
-                yield Timeout(float(cost.stage))
-            elif cost.collective:
-                if gate is not None:
-                    yield gate.wait_turn(g, tag)
-                yield channels[g].acquire(1)
-                yield threads[g].acquire(footprint)
-                if gate is not None:
-                    gate.launched(g, tag)
-                if inj is not None:
-                    d = inj.collective_delay(g)
-                    if d > 0.0:
-                        yield Timeout(d)
-                    # a dropped participant goes dark for the window
-                    d = inj.drop_wait(g)
-                    if d > 0.0:
-                        yield Timeout(d)
-                if guard is not None:
-                    outcome = yield from guard.join(tag, k)
-                    degraded = outcome == ROUND_ABANDONED
-                else:
-                    yield barrier.arrive(tag, k)
-                dur = float(cost.stage)
-                if inj is not None:
-                    bw = inj.blackout_wait(cost)
-                    if bw > 0.0:
-                        yield Timeout(bw)
-                    dur *= inj.comm_scale(g, cost)
-                yield Timeout(dur)
-                threads[g].release(footprint)
-                channels[g].release(1)
-            else:
-                yield threads[g].acquire(footprint)
-                dur = float(cost.per_gpu[g])
-                if inj is not None:
-                    if any(cost.link_bytes().values()):
-                        bw = inj.blackout_wait(cost)
-                        if bw > 0.0:
-                            yield Timeout(bw)
-                        dur *= inj.comm_scale(g, cost)
-                    else:
-                        dur *= inj.compute_scale(g)
-                yield Timeout(dur)
-                threads[g].release(footprint)
-            if probe is not None:
-                probe.op_done(track, cost, tag, g, t0, k, degraded)
 
         def skip_ops(g: int, stage: str, t: int):
             """Walk a lost batch's collective tags through the CCC gate.
@@ -301,9 +265,7 @@ class PipelineRunner:
                             st = inj.queue_stall(g, stage)
                             if st > 0.0:
                                 yield Timeout(st)
-                        for i, cost in enumerate(self.batches[t][stage]):
-                            yield from run_op(g, cost, (stage, t, i), track)
-                        stage_done(g, stage, t)
+                        yield from run_stage(g, stage, t, track)
                     if k > 1:
                         yield barrier.arrive(("batch-end", t), k)
 
@@ -353,9 +315,7 @@ class PipelineRunner:
                         st = inj.queue_stall(g, "sample")
                         if st > 0.0:
                             yield Timeout(st)
-                    for i, cost in enumerate(self.batches[t]["sample"]):
-                        yield from run_op(g, cost, ("sample", t, i), track)
-                    stage_done(g, "sample", t)
+                    yield from run_stage(g, "sample", t, track)
                     yield queues_sl[g][t % L].put(t)
 
             def loader(g: int, w: int):
@@ -381,9 +341,7 @@ class PipelineRunner:
                         yield from skip_ops(g, "load", t)
                         yield queues_lt[g].put(("lost", t))
                         continue
-                    for i, cost in enumerate(self.batches[t]["load"]):
-                        yield from run_op(g, cost, ("load", t, i), track)
-                    stage_done(g, "load", t)
+                    yield from run_stage(g, "load", t, track)
                     yield queues_lt[g].put(t)
 
             def trainer(g: int):
@@ -402,11 +360,7 @@ class PipelineRunner:
                     if next_t in stash:
                         status = stash.pop(next_t)
                         if status == "ok":
-                            for i, cost in enumerate(
-                                    self.batches[next_t]["train"]):
-                                yield from run_op(
-                                    g, cost, ("train", next_t, i), track)
-                            stage_done(g, "train", next_t)
+                            yield from run_stage(g, "train", next_t, track)
                         else:
                             note_lost(g, "train", next_t, "upstream-lost")
                             yield from skip_ops(g, "train", next_t)
@@ -455,8 +409,8 @@ class PipelineRunner:
         if probe is not None:
             probe.epoch_end(self.batches, STAGES, k)
 
-        occ = float(np.mean([r.occupancy(total) for r in threads]))
-        per_busy = tuple(r.busy_fraction(total) for r in threads)
+        occ = float(np.mean([r.occupancy(total) for r in gpus.threads]))
+        per_busy = tuple(r.busy_fraction(total) for r in gpus.threads)
         busy = float(np.mean(per_busy))
         return PipelineResult(
             epoch_time=total, utilization=occ,

@@ -11,7 +11,8 @@ requests (timeouts, resource acquisitions, queue operations, barrier
 arrivals) and resume when the request is satisfied at some simulated
 time.  The design mirrors classic process-based DES (SimPy-style) but
 is dependency-free and adds the pieces DSP needs: time-weighted
-resource utilization accounting and the CCC launch gate.
+resource utilization accounting, the CCC launch gate, and
+:class:`GpuExecutor`, the one place a replayed op runs on a GPU.
 """
 
 from repro.engine.simulator import Simulator, Timeout, Process
@@ -23,6 +24,7 @@ from repro.engine.coordination import (
     CollectiveGuard,
     LaunchGate,
 )
+from repro.engine.gpu import GpuExecutor
 
 __all__ = [
     "Simulator",
@@ -33,6 +35,7 @@ __all__ = [
     "Rendezvous",
     "LaunchGate",
     "CollectiveGuard",
+    "GpuExecutor",
     "ROUND_OK",
     "ROUND_ABORTED",
     "ROUND_ABANDONED",

@@ -67,9 +67,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # ------------------------------------------------------------------
     # graph construction helper
     # ------------------------------------------------------------------

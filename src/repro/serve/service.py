@@ -23,8 +23,10 @@ the system's renumbered space, so identical workloads are comparable
 across systems.
 
 Cost semantics: each of a batch's ops runs for its barrier wall time
-(``OpCost.stage``) on the driving GPU, holding that GPU's SM footprint
-and — for collectives — one of its communication channels.  Remote
+(``OpCost.stage``) on the driving GPU through the same
+:class:`~repro.engine.gpu.GpuExecutor` as training, holding that GPU's
+SM footprint and — for collectives — one of its communication channels;
+serving collectives do not rendezvous.  Remote
 GPUs' transient participation in a batch's all-to-alls is charged to
 the batch's latency but not modelled as SM contention on the peers;
 concurrent batches on one GPU do contend for its SMs and channels.
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.system import COMPUTE_DEDUP_CORRECTION
-from repro.engine import BoundedQueue, Resource, Simulator
+from repro.engine import BoundedQueue, GpuExecutor, Simulator
 from repro.engine.simulator import Timeout
 from repro.nn import Tensor
 from repro.sampling.ops import LocalKernel, OpTrace
@@ -178,15 +180,9 @@ class GNNServer:
         # failover loaders per lost-peer set, built lazily on first use
         failover_loaders: dict = {}
 
-        threads = [
-            Resource(sim, system.cluster.gpu.total_threads,
-                     name=f"serve-gpu{g}-sm")
-            for g in range(k)
-        ]
-        channels = [
-            Resource(sim, cfg.comm_channels, name=f"serve-gpu{g}-comm")
-            for g in range(k)
-        ]
+        gpus = GpuExecutor(sim, k, system.cluster.gpu.total_threads,
+                           cfg.comm_channels, prefix="serve-gpu",
+                           injector=inj)
         if cfg.tenancy is not None:
             from repro.control.tenancy import TenantState
 
@@ -227,30 +223,11 @@ class GNNServer:
         if controller is not None:
             controller.install(sim, batchers, remaining)
 
-        def run_op(g: int, cost, stage: str, bid: int, track: str):
-            t0 = sim.now
-            dur = float(cost.stage)
-            if inj is not None:
-                if any(cost.link_bytes().values()):
-                    bw = inj.blackout_wait(cost)
-                    if bw > 0.0:
-                        yield Timeout(bw)
-                    dur *= inj.comm_scale(g, cost)
-                elif not cost.host:
-                    dur *= inj.compute_scale(g)
-            if cost.host:
-                yield Timeout(dur)
-            else:
-                footprint = min(cost.threads, threads[g].capacity)
-                if cost.collective:
-                    yield channels[g].acquire(1)
-                yield threads[g].acquire(footprint)
-                yield Timeout(dur)
-                threads[g].release(footprint)
-                if cost.collective:
-                    channels[g].release(1)
-            if probe is not None:
-                probe.serve_op_done(track, cost, stage, bid, g, t0)
+        def run_trace(g: int, trace, stage: str, bid: int, track: str):
+            for cost in system.engine.trace_cost(trace):
+                start, _ = yield from gpus.run(g, cost, float(cost.stage))
+                if probe is not None:
+                    probe.serve_op_done(track, cost, stage, bid, g, start)
 
         def arrivals():
             for req in requests:
@@ -297,8 +274,7 @@ class GNNServer:
                 per_gpu = [np.empty(0, dtype=np.int64) for _ in range(k)]
                 per_gpu[g] = batch.seeds
                 samples, trace = system._sample(per_gpu)
-                for cost in system.engine.trace_cost(trace):
-                    yield from run_op(g, cost, "sample", batch.bid, track)
+                yield from run_trace(g, trace, "sample", batch.bid, track)
                 batch.samples = samples
                 batch.stages["sample"] = sim.now - t0
                 yield loadq[g].put(batch)
@@ -331,8 +307,7 @@ class GNNServer:
                 else:
                     feats, trace, stats = system._load(
                         reqs, gather=cfg.functional)
-                for cost in system.engine.trace_cost(trace):
-                    yield from run_op(g, cost, "load", batch.bid, track)
+                yield from run_trace(g, trace, "load", batch.bid, track)
                 dyn = stats.pop("dynamic", None)
                 if probe is not None:
                     probe.load_done(stats, dyn, plan_cache)
@@ -353,8 +328,7 @@ class GNNServer:
                             * COMPUTE_DEDUP_CORRECTION)
                 trace = OpTrace()
                 trace.add(LocalKernel("compute", flops, label="serve-infer"))
-                for cost in system.engine.trace_cost(trace):
-                    yield from run_op(g, cost, "compute", batch.bid, track)
+                yield from run_trace(g, trace, "compute", batch.bid, track)
                 batch.stages["compute"] = sim.now - t0
                 preds = None
                 if cfg.functional and len(sample.seeds):

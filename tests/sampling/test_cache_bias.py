@@ -8,6 +8,7 @@ which nodes can be sampled; ``refresh_cache_bias`` tracks the store's
 current resident set (the dynamic policy calls it via ``on_change``).
 """
 
+from dataclasses import fields
 from functools import lru_cache
 
 import numpy as np
@@ -55,13 +56,22 @@ def _seeds(sampler, rng):
 
 
 def _run(sampler, seeds, fanout=(5, 3)):
-    samples, trace, stats = sampler.sample(seeds, CSPConfig(fanout=fanout))
-    return samples, stats
+    """``(samples, trace, stats)`` of one sampling round."""
+    return sampler.sample(seeds, CSPConfig(fanout=fanout))
 
 
 def _assert_same(result_a, result_b):
-    (samples_a, stats_a), (samples_b, stats_b) = result_a, result_b
+    (samples_a, trace_a, stats_a) = result_a
+    (samples_b, trace_b, stats_b) = result_b
     assert stats_a == stats_b
+    # the op trace is what the cost model prices: every op's type,
+    # label and byte/work arrays must agree too
+    assert len(trace_a) == len(trace_b)
+    for op_a, op_b in zip(trace_a, trace_b):
+        assert type(op_a) is type(op_b) and op_a.label == op_b.label
+        for f in fields(op_a):
+            np.testing.assert_array_equal(getattr(op_a, f.name),
+                                          getattr(op_b, f.name))
     for a, b in zip(samples_a, samples_b):
         np.testing.assert_array_equal(a.all_nodes, b.all_nodes)
         for la, lb in zip(a.blocks, b.blocks):
@@ -123,7 +133,7 @@ class TestEnabled:
         for _ in range(8):
             seeds = _seeds(plain, rng)
             for name, sampler in (("plain", plain), ("biased", biased)):
-                samples, _ = _run(sampler, seeds)
+                samples, _, _ = _run(sampler, seeds)
                 for s in samples:
                     for block in s.blocks:
                         src = block.src_nodes

@@ -211,10 +211,16 @@ class TestCLI:
         ("control", ["--qps", "-1", "--scenarios", "none"], "--qps"),
         ("control", ["--scenarios", "nope"], "'nope'"),
         ("control", ["--workers", "-3"], "--workers"),
+        ("control", ["--requests", "0"], "--requests expects a count >= 1, got 0"),
+        ("control", ["--skew", "-1"], "--skew expects an exponent >= 0, got -1"),
+        ("control", ["--drift-phases", "0"], "--drift-phases expects a count >= 1, got 0"),
+        ("trace", ["--batches", "0"], "--batches expects a count >= 1, got 0"),
     ], ids=["compare-zero-batches", "compare-zero-workers",
             "chaos-zero-batches", "chaos-zero-requests", "chaos-inf-qps",
             "chaos-zero-workers", "control-negative-qps",
-            "control-unknown-scenario", "control-negative-workers"])
+            "control-unknown-scenario", "control-negative-workers",
+            "control-zero-requests", "control-negative-skew",
+            "control-zero-drift-phases", "trace-zero-batches"])
     def test_fan_out_bad_input_is_one_line_error(self, capsys, command, bad,
                                                  needle):
         """Rejected before any task reaches ``run_tasks``, so the error
