@@ -545,7 +545,7 @@ def cmd_chaos(args) -> int:
               ("--workers", args.workers))
     _check_qps([args.qps], f"{args.qps:g}")
     if cfg.num_nodes > 1:
-        multinode = [s for s in systems if s.startswith("DSP")]
+        multinode = [s for s in systems if SYSTEMS[s].multinode]
         dropped = sorted(set(systems) - set(multinode))
         if dropped:
             print(f"note: skipping single-server systems on "

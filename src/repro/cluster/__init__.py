@@ -9,8 +9,9 @@ a cluster along the two production axes the ROADMAP names:
   (:mod:`repro.hw.network`), a two-level server→GPU graph cut
   (:mod:`repro.cluster.partition`), hierarchical CSP shuffles that do
   the NVLink all-to-all first and one batched cross-server exchange
-  after (:mod:`repro.cluster.csp`), and per-server host CPUs
-  (:mod:`repro.cluster.engine`);
+  after (:mod:`repro.cluster.csp`), and a cost engine with per-server
+  host CPUs that lowers every trace it prices into those shuffles
+  (:mod:`repro.cluster.engine`), so no caller lowers by hand;
 - **scale-out serving of many users** — ``R`` serving replicas behind a
   deterministic :class:`~repro.cluster.router.ClusterRouter`
   (random / least-loaded / partition-affinity policies) whose merged

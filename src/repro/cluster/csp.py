@@ -3,8 +3,9 @@
 The collective sampler and feature loader are topology-agnostic — they
 emit ``k x k`` :class:`~repro.sampling.ops.AllToAll` matrices over all
 ``k = S * G`` GPUs as if one NVLink mesh connected them.  On a cluster
-there is no such mesh, so this pass rewrites every trace before pricing
-(GSplit's two-stage shuffle, FastSample's hierarchical exchange):
+there is no such mesh, so :class:`~repro.cluster.engine.ClusterCostEngine`
+rewrites every trace it prices with this pass (GSplit's two-stage
+shuffle, FastSample's hierarchical exchange):
 
 - **AllToAll** becomes up to three barrier-separated ops:
 

@@ -1,21 +1,25 @@
 """Cost engine specialization for multi-server clusters.
 
-The base :class:`~repro.core.cost.CostEngine` already prices every op
-correctly on the block-diagonal cluster topology *except* host work: it
-assumes one host CPU serving all GPUs, but a cluster has one host per
-server and they work concurrently.  This subclass scopes host-work
-contention to each server and routes :class:`NetworkTransfer` ops
-through the cluster's NIC spec (so ethernet vs infiniband presets and
-chaos ``LinkDegrade(link="network")`` factors apply).
+The base :class:`~repro.core.cost.CostEngine` prices every op on the
+block-diagonal cluster topology except two things a cluster changes:
+
+- **traces cross servers.**  Samplers and loaders emit flat ``k x k``
+  collectives; :meth:`ClusterCostEngine.trace_cost` lowers every trace
+  it prices into hierarchical form (:func:`repro.cluster.csp.lower_trace`)
+  so no caller has to, and the resulting :class:`NetworkTransfer` ops
+  are priced with the base α–β rule on the cluster's NIC spec;
+- **each server has its own host CPU.**  Host-work contention is
+  scoped to each server and the servers work concurrently.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.cluster import csp
 from repro.core.cost import CostEngine, OpCost
 from repro.hw.network import ClusterTopology
-from repro.sampling.ops import HostWork
+from repro.sampling.ops import HostWork, OpTrace
 from repro.utils.errors import ConfigError
 
 
@@ -25,8 +29,11 @@ class ClusterCostEngine(CostEngine):
     ``cluster.topology`` must be the block-diagonal
     ``cluster_topology.flat()`` view; the NIC becomes the engine's
     ``network`` spec so NetworkTransfer pricing uses the configured
-    preset.  With ``num_servers == 1`` this is behaviourally identical
-    to the base engine (the host override degenerates to one CPU).
+    preset.  :meth:`trace_cost` (and so :meth:`stage_time`) accepts raw
+    single-server traces and lowers them; :meth:`op_cost` prices one op
+    as given.  With ``num_servers == 1`` this is behaviourally identical
+    to the base engine (lowering is the identity and the host override
+    degenerates to one CPU).
     """
 
     def __init__(self, cluster, cluster_topology: ClusterTopology,
@@ -45,6 +52,13 @@ class ClusterCostEngine(CostEngine):
                          network=cluster_topology.nic, backend=backend)
         self.cluster_topology = cluster_topology
         self.num_servers = cluster_topology.num_servers
+
+    def trace_cost(self, trace: OpTrace) -> list[OpCost]:
+        # looked up on the module at call time, so a wrapped
+        # lower_trace (perfbench's cluster.lower span) still fires
+        lowered = csp.lower_trace(trace, self.num_servers,
+                                  self.cluster_topology.gpus_per_server)
+        return super().trace_cost(lowered)
 
     def _host(self, op: HostWork) -> OpCost:
         """Each server's host CPU serves only its own GPUs; the stage
@@ -72,18 +86,4 @@ class ClusterCostEngine(CostEngine):
             stage=dur,
             threads=1,
             host=True,
-        )
-
-    def degraded(self, nvlink_factor: float = 1.0, pcie_factor: float = 1.0,
-                 network_factor: float = 1.0) -> "ClusterCostEngine":
-        """A what-if engine with slowed links (capacity planning)."""
-        from dataclasses import replace
-
-        topo = self.cluster_topology.degraded(
-            nvlink_factor, pcie_factor, network_factor
-        )
-        return ClusterCostEngine(
-            replace(self.cluster, topology=topo.flat()),
-            topo,
-            launch_scale=self.launch_scale,
         )

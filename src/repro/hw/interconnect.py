@@ -110,25 +110,6 @@ class Topology:
             pcie_switch_bw=PCIE_SWITCH_BW / scale,
         )
 
-    def degraded(self, nvlink_factor: float = 1.0,
-                 pcie_factor: float = 1.0) -> "Topology":
-        """A slowed-down view of this topology (chaos what-if analysis).
-
-        Returns a new :class:`Topology` with the same link structure
-        and every NVLink lane (PCIe switch uplink) at ``1/factor`` of
-        its bandwidth — the steady-state equivalent of a
-        :class:`~repro.chaos.LinkDegrade` fault, usable anywhere a
-        topology is accepted (cost models, capacity planning).
-        """
-        if nvlink_factor < 1.0 or pcie_factor < 1.0:
-            raise ConfigError("degradation factors must be >= 1")
-        return Topology(
-            nvlink=self.nvlink,
-            pcie_switch=self.pcie_switch,
-            nvlink_lane_bw=self.nvlink_lane_bw / nvlink_factor,
-            pcie_switch_bw=self.pcie_switch_bw / pcie_factor,
-        )
-
     # ------------------------------------------------------------------
     # NVLink queries
     # ------------------------------------------------------------------

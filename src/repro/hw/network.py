@@ -14,20 +14,18 @@ class:
   NIC per server.  ``flat()`` materializes the cluster as one
   block-diagonal :class:`Topology` spanning all ``S * G`` GPUs so the
   existing cost models price intra-server traffic unchanged (there is
-  deliberately *no* cross-server NVLink: collectives that would cross
-  servers must be lowered first, see :mod:`repro.cluster.csp`).
+  deliberately *no* cross-server NVLink: the cluster cost engine lowers
+  collectives that cross servers, see :mod:`repro.cluster.csp`).
 
-Shared-NIC contention mirrors the PCIe-switch rule: every GPU of a
-server funnels its cross-server bytes through the one NIC, so a
-server's exchange time is ``α + max(bytes_out, bytes_in) / β`` over the
-*summed* per-server traffic (:meth:`ClusterTopology.exchange_time`),
-and :meth:`ClusterTopology.nic_bandwidth` exposes the per-GPU share for
-capacity planning.
+There is one network cost rule: ``CostEngine`` prices every
+:class:`~repro.sampling.ops.NetworkTransfer` on its NIC spec as
+``α + max_s(max(out_s, in_s)) / β`` over each server's summed traffic,
+so an exchange ends when the busiest NIC drains.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,13 +73,6 @@ class NICSpec:
         real, like the other devices."""
         return self
 
-    def degraded(self, factor: float) -> "NICSpec":
-        """This NIC at ``1/factor`` of its bandwidth (steady-state
-        equivalent of a ``LinkDegrade(link="network")`` fault)."""
-        if factor < 1.0:
-            raise ConfigError("degradation factor must be >= 1")
-        return replace(self, bandwidth=self.bandwidth / factor)
-
 
 @dataclass(frozen=True)
 class ClusterTopology:
@@ -109,16 +100,6 @@ class ClusterTopology:
     def num_gpus(self) -> int:
         return self.num_servers * self.server.num_gpus
 
-    def server_of(self, gpu: int) -> int:
-        if not 0 <= gpu < self.num_gpus:
-            raise ConfigError(f"GPU index out of range: {gpu}")
-        return gpu // self.server.num_gpus
-
-    def gateway_of(self, server: int) -> int:
-        if not 0 <= server < self.num_servers:
-            raise ConfigError(f"server index out of range: {server}")
-        return server * self.server.num_gpus
-
     @cached_property
     def _flat(self) -> Topology:
         s, g = self.num_servers, self.server.num_gpus
@@ -143,52 +124,12 @@ class ClusterTopology:
 
         Intra-server links are exact copies of the server topology;
         there is no cross-server NVLink, so ``route()`` across blocks
-        raises — by design, to catch unlowered cross-server collectives
-        at pricing time instead of silently mispricing them.
+        raises.  :class:`~repro.cluster.engine.ClusterCostEngine` lowers
+        every trace it prices before routing it; a plain ``CostEngine``
+        on this topology refuses raw cross-server collectives instead of
+        silently mispricing them as NVLink.
         """
         return self._flat
-
-    # ------------------------------------------------------------------
-    # NIC contention (the PCIe-switch rule, one level up)
-    # ------------------------------------------------------------------
-    def nic_sharers(self, server: int, active_gpus=None) -> int:
-        """How many active GPUs funnel traffic through this server's NIC."""
-        active = range(self.num_gpus) if active_gpus is None else active_gpus
-        return sum(1 for gpu in active if self.server_of(gpu) == server)
-
-    def nic_bandwidth(self, server: int, active_gpus=None) -> float:
-        """Effective per-GPU share of the NIC among concurrent senders."""
-        return self.nic.bandwidth / max(1, self.nic_sharers(server, active_gpus))
-
-    def exchange_time(self, matrix) -> float:
-        """α–β time of one batched cross-server exchange.
-
-        ``matrix[s, s']`` is the bytes server ``s`` sends to ``s'``.
-        Every server's NIC moves its total in/out concurrently, so the
-        exchange finishes when the busiest NIC drains:
-        ``α + max_s(max(out_s, in_s)) / β``.
-        """
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.shape != (self.num_servers, self.num_servers):
-            raise ConfigError(
-                f"exchange matrix must be {self.num_servers}x{self.num_servers}"
-            )
-        out_load = m.sum(axis=1) - np.diag(m)
-        in_load = m.sum(axis=0) - np.diag(m)
-        worst = float(np.maximum(out_load, in_load).max()) if m.size else 0.0
-        if worst == 0.0:
-            return 0.0
-        return self.nic.latency + worst / self.nic.bandwidth
-
-    def degraded(self, nvlink_factor: float = 1.0, pcie_factor: float = 1.0,
-                 network_factor: float = 1.0) -> "ClusterTopology":
-        """A slowed-down view of the cluster (chaos what-if analysis);
-        extends ``Topology.degraded`` with the cross-server link class."""
-        return ClusterTopology(
-            num_servers=self.num_servers,
-            server=self.server.degraded(nvlink_factor, pcie_factor),
-            nic=self.nic.degraded(network_factor),
-        )
 
 
 def multi_server_cluster(topology: ClusterTopology, scale: float = 1.0) -> Cluster:

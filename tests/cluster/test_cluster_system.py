@@ -1,5 +1,8 @@
 """End-to-end tests of multi-node training systems."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,14 @@ from repro.utils.errors import ConfigError
 
 CFG2 = RunConfig(dataset="tiny", num_gpus=2, num_nodes=2, hidden_dim=16,
                  batch_size=8, fanout=(5, 3), partitioner="ldg")
+#: 2 servers x 2 GPUs with the default partitioner, for the chaos pins
+CHAOS_CFG = RunConfig(dataset="tiny", num_gpus=2, num_nodes=2, hidden_dim=16,
+                      batch_size=8, fanout=(5, 3), seed=0)
+#: sha256 of ``json.dumps(matrix, sort_keys=True)`` for DSP over every
+#: scenario on ``CHAOS_CFG``: the multi-server pin, which sees what the
+#: one-server matrices cannot (an asymmetric reshuffle, NIC transfers
+#: under network faults)
+CHAOS_SHA256 = "27d63be05c61cc001a756a132bb29db9d133eb83524cbd6fd3fc4b4130eda090"
 
 
 class TestConfig:
@@ -103,3 +114,31 @@ class TestClusterChaos:
         assert r["outcome"] == "completed"
         assert r["invariants"]["clean"]
         assert r["baseline_invariants"]["clean"]
+
+
+class TestClusterChaosMatrix:
+    @pytest.fixture(scope="class")
+    def matrix(self):
+        from repro.chaos import SCENARIOS, resilience_report
+
+        return resilience_report(("DSP",), sorted(SCENARIOS), CHAOS_CFG,
+                                 max_batches=2, requests=32, qps=2000.0)
+
+    def test_cache_peer_loss_serves(self):
+        """The failover loader's cross-server trace is priced lowered,
+        like every other trace on a cluster engine."""
+        from repro.chaos.scenarios import run_scenario
+
+        r = run_scenario("DSP", "cache-peer-loss", CHAOS_CFG,
+                         max_batches=2, requests=32, qps=2000.0)
+        assert r["outcome"] == "completed"
+        assert r["degraded"] > 0
+        assert r["invariants"]["clean"]
+
+    def test_invariants_clean(self, matrix):
+        assert matrix["summary"]["invariant_violations"] == 0
+
+    def test_pinned_digest(self, matrix):
+        digest = hashlib.sha256(
+            json.dumps(matrix, sort_keys=True).encode()).hexdigest()
+        assert digest == CHAOS_SHA256

@@ -155,22 +155,33 @@ class TestLowerTrace:
             assert np.array_equal(op_a.matrix, op_b.matrix)
 
     def test_lowered_trace_is_priceable(self):
-        """The cluster engine prices the lowered trace; the raw trace
-        (cross-server NVLink) must refuse."""
+        """The cluster engine lowers what it prices: the raw trace and
+        its lowering cost the same.  A plain engine on the flat topology
+        still refuses the raw trace (cross-server NVLink)."""
+        from dataclasses import fields
+
         from repro.cluster import ClusterCostEngine
+        from repro.core.cost import CostEngine
         from repro.hw import ClusterTopology, NICSpec, Topology
         from repro.hw.network import multi_server_cluster
         from repro.utils.errors import ConfigError
 
         ct = ClusterTopology(num_servers=S, server=Topology.dgx1(G),
                              nic=NICSpec.preset("ethernet"))
-        engine = ClusterCostEngine(multi_server_cluster(ct), ct)
+        cluster = multi_server_cluster(ct)
+        engine = ClusterCostEngine(cluster, ct)
         trace = OpTrace()
         trace.add(AllToAll(dense(), label="x"))
-        with pytest.raises(ConfigError):
-            engine.trace_cost(trace)
-        costs = engine.trace_cost(lower_trace(trace, S, G))
-        assert sum(c.network_bytes for c in costs) == pytest.approx(
-            cross_bytes(dense())
+        trace.add(AllReduce(1e6, label="grad"))
+        raw = engine.trace_cost(trace)
+        lowered = engine.trace_cost(lower_trace(trace, S, G))
+        assert len(raw) == len(lowered) == 6
+        for a, b in zip(raw, lowered):
+            for f in fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        assert sum(c.network_bytes for c in raw) == pytest.approx(
+            cross_bytes(dense()) + S * 2 * (S - 1) / S * 1e6
         )
-        assert all(c.stage >= 0.0 for c in costs)
+        assert all(c.stage >= 0.0 for c in raw)
+        with pytest.raises(ConfigError):
+            CostEngine(cluster).trace_cost(trace)

@@ -1,5 +1,8 @@
 """Tests for the multi-machine DSP extension."""
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,29 @@ from repro.utils import ConfigError
 
 CFG = RunConfig(dataset="tiny", num_gpus=2, hidden_dim=16, batch_size=8,
                 fanout=(5, 3), seed=4)
+
+#: ``_epoch_costs()`` as committed data: the cost-model oracle a
+#: re-expression of :class:`MultiMachineDSP` must reproduce bit for bit
+FROZEN = pathlib.Path(__file__).with_name("multimachine_costs.json")
+FROZEN_FIELDS = ("epoch_time", "sample_time", "load_time", "train_time",
+                 "nvlink_bytes", "pcie_bytes", "network_bytes")
+
+
+def _epoch_costs() -> dict:
+    """Cost-only epoch metrics over machines x feature cache x NIC."""
+    out = {}
+    for machines in (1, 2, 3):
+        for cache in ("default", "zero"):
+            cfg = CFG if cache == "default" else CFG.with_(
+                feature_cache_bytes=0.0)
+            for bw in (100e9, 1e8):
+                mm = MultiMachineDSP(cfg, num_machines=machines,
+                                     network=NICSpec(bandwidth=bw))
+                m = mm.run_epoch(max_batches=3, functional=False)
+                out[f"machines={machines}/cache={cache}/nic={bw:g}"] = {
+                    name: getattr(m, name) for name in FROZEN_FIELDS
+                }
+    return out
 
 
 class TestMultiMachine:
@@ -77,3 +103,8 @@ class TestMultiMachine:
     def test_invalid_machine_count(self):
         with pytest.raises(ConfigError):
             MultiMachineDSP(CFG, num_machines=0)
+
+
+class TestFrozenEpochCosts:
+    def test_matches_committed_data(self):
+        assert _epoch_costs() == json.loads(FROZEN.read_text())
