@@ -9,17 +9,17 @@ sharded remote reads appear; and a slower fabric slows the epoch.
 import pytest
 
 from repro.bench import fmt_table, quick_mode
+from repro.cluster import ReplicatedDSP
 from repro.core import RunConfig
-from repro.core.multimachine import MultiMachineDSP
 from repro.hw.network import NICSpec
 from repro.utils import GB
 
 
 def _run(dataset: str, machines: int, cache_bytes=None, bandwidth=12.5 * GB):
-    cfg = RunConfig(dataset=dataset, num_gpus=4,
+    cfg = RunConfig(dataset=dataset, num_gpus=4, num_nodes=machines,
                     feature_cache_bytes=cache_bytes)
-    mm = MultiMachineDSP(cfg, num_machines=machines,
-                         network=NICSpec(bandwidth=bandwidth))
+    mm = ReplicatedDSP(cfg)
+    mm.engine.network = NICSpec(bandwidth=bandwidth)
     return mm.run_epoch(max_batches=4, functional=False)
 
 

@@ -9,8 +9,8 @@ counts and network fabrics to show when scale-out pays.
     python examples/multi_machine_scaleout.py
 """
 
+from repro.cluster import ReplicatedDSP
 from repro.core import RunConfig
-from repro.core.multimachine import MultiMachineDSP
 from repro.hw.network import NICSpec
 from repro.utils import GB, fmt_bytes, fmt_time
 
@@ -21,7 +21,7 @@ def main() -> None:
     print("== scaling machines (4 GPUs each, 100 Gb/s fabric)")
     base = None
     for machines in (1, 2, 4):
-        mm = MultiMachineDSP(cfg, num_machines=machines)
+        mm = ReplicatedDSP(cfg.with_(num_nodes=machines))
         m = mm.run_epoch(max_batches=4, functional=False)
         base = base or m.epoch_time
         print(f"  {machines} machine(s): epoch {fmt_time(m.epoch_time):>10} "
@@ -31,11 +31,8 @@ def main() -> None:
     print("\n== fabric sensitivity (2 machines, cold features)")
     for label, bw in (("100 GbE", 12.5 * GB), ("25 GbE", 3.125 * GB),
                       ("10 GbE", 1.25 * GB)):
-        mm = MultiMachineDSP(
-            cfg.with_(feature_cache_bytes=0.0),
-            num_machines=2,
-            network=NICSpec(bandwidth=bw),
-        )
+        mm = ReplicatedDSP(cfg.with_(feature_cache_bytes=0.0, num_nodes=2))
+        mm.engine.network = NICSpec(bandwidth=bw)
         m = mm.run_epoch(max_batches=4, functional=False)
         print(f"  {label:>8}: epoch {fmt_time(m.epoch_time):>10} "
               f"(network {fmt_bytes(m.network_bytes):>10})")

@@ -11,7 +11,10 @@ a cluster along the two production axes the ROADMAP names:
   the NVLink all-to-all first and one batched cross-server exchange
   after (:mod:`repro.cluster.csp`), and a cost engine with per-server
   host CPUs that lowers every trace it prices into those shuffles
-  (:mod:`repro.cluster.engine`), so no caller lowers by hand;
+  (:mod:`repro.cluster.engine`), so no caller lowers by hand; the
+  paper's own §3.2 alternative, topology and hot features replicated
+  per server and cold features sharded, is
+  :class:`~repro.cluster.replicated.ReplicatedDSP` on the same config;
 - **scale-out serving of many users** — ``R`` serving replicas behind a
   deterministic :class:`~repro.cluster.router.ClusterRouter`
   (random / least-loaded / partition-affinity policies) whose merged
@@ -30,6 +33,7 @@ from repro.cluster.partition import (
     HierarchicalPartition,
     hierarchical_partition,
 )
+from repro.cluster.replicated import ReplicatedDSP
 from repro.cluster.router import ROUTING_POLICIES, ClusterRouter, RouterConfig
 from repro.cluster.serve import affinity_map, knee_vs_replicas
 
@@ -38,6 +42,7 @@ __all__ = [
     "ClusterCostEngine",
     "HierarchicalPartition",
     "hierarchical_partition",
+    "ReplicatedDSP",
     "ROUTING_POLICIES",
     "ClusterRouter",
     "RouterConfig",

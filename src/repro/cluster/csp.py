@@ -122,6 +122,17 @@ def _ring_matrix(num_servers: int, gpus_per_server: int,
     return m
 
 
+def nic_ring(num_servers: int, nbytes: float) -> np.ndarray:
+    """``S x S`` NIC traffic of a ring allreduce of ``nbytes``: every
+    server pushes ``2 (S-1)/S`` of it to its successor — the same ring
+    volume a flat ring charges."""
+    ring = np.zeros((num_servers, num_servers))
+    per = 2.0 * (num_servers - 1) / num_servers * nbytes
+    for srv in range(num_servers):
+        ring[srv, (srv + 1) % num_servers] = per
+    return ring
+
+
 def _split_allreduce(op: AllReduce, num_servers: int,
                      gpus_per_server: int) -> list:
     """Hierarchical allreduce: intra reduce-scatter, NIC ring, allgather."""
@@ -131,13 +142,9 @@ def _split_allreduce(op: AllReduce, num_servers: int,
     if g > 1:
         phase = _ring_matrix(s, g, (g - 1) / g * nbytes)
         ops.append(AllToAll(phase, label=f"{op.label}-reduce-scatter"))
-    # every server pushes 2 (S-1)/S of the (shard-partitioned) gradient
-    # through its NIC — the same ring volume a flat ring charges
-    ring = np.zeros((s, s))
-    per = 2.0 * (s - 1) / s * nbytes
-    for srv in range(s):
-        ring[srv, (srv + 1) % s] = per
-    ops.append(NetworkTransfer(ring, label=f"{op.label}-net-ring"))
+    # the (shard-partitioned) gradient rings through every NIC
+    ops.append(NetworkTransfer(nic_ring(s, nbytes),
+                               label=f"{op.label}-net-ring"))
     if g > 1:
         phase = _ring_matrix(s, g, (g - 1) / g * nbytes)
         ops.append(AllToAll(phase, label=f"{op.label}-allgather"))

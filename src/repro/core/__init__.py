@@ -27,7 +27,6 @@ from repro.core.cost import CostEngine
 from repro.core.layout import DSPLayout, plan_layout
 from repro.core.system import DSP, build_system, SYSTEMS
 from repro.core.baselines import PyG, DGLCPU, DGLUVA, Quiver
-from repro.core.multimachine import MultiMachineDSP
 from repro.core.inference import full_graph_inference
 
 __all__ = [
@@ -45,6 +44,5 @@ __all__ = [
     "Quiver",
     "build_system",
     "SYSTEMS",
-    "MultiMachineDSP",
     "full_graph_inference",
 ]

@@ -56,8 +56,9 @@ class RunConfig:
     #: the total GPU count is ``num_nodes * num_gpus``.  Only DSP-family
     #: systems support ``num_nodes > 1`` (see ``docs/cluster.md``)
     num_nodes: int = 1
-    #: cross-server NIC preset for multi-node runs: "ethernet" (100 GbE)
-    #: or "infiniband" (HDR); ignored when ``num_nodes == 1``
+    #: cross-server NIC preset: "ethernet" (100 GbE) or "infiniband"
+    #: (HDR); every system's cost engine prices network transfers on
+    #: it, and single-server systems emit none
     nic: str = "ethernet"
     #: access-frequency dynamic feature caching (DSP family only; see
     #: ``docs/caching.md``) — off by default, in which case the cache

@@ -22,6 +22,7 @@ from repro.graph.datasets import Dataset, load_dataset, load_partition
 from repro.graph.reorder import renumber_by_partition
 from repro.hw.devices import Cluster
 from repro.hw.memory import AllocatorKind, alloc_overhead
+from repro.hw.network import NICSpec
 from repro.nn import (
     GAT,
     GCN,
@@ -82,14 +83,16 @@ class TrainingSystem:
                 f"systems support num_nodes > 1"
             )
         self.base_dataset = load_dataset(config.dataset)
-        #: the cluster-level topology (NICs + per-server meshes) when
-        #: num_nodes > 1, else None — _make_cluster fills it in
+        #: the cluster-level topology (NICs + per-server meshes) when the
+        #: simulated hardware spans servers, else None — _make_cluster
+        #: fills it in
         self.cluster_topology = None
         self.cluster = self._make_cluster()
         # per-batch constant overheads shrink with the batch (see CostEngine)
         self.batch_shrink = config.batch_size / 1024.0
         self.engine = self._make_engine()
-        self.k = config.total_gpus
+        #: GPUs this system trains on: the whole simulated hardware
+        self.k = self.cluster.num_gpus
         self.csp_config = CSPConfig(
             fanout=tuple(config.fanout),
             scheme=config.scheme,
@@ -123,8 +126,7 @@ class TrainingSystem:
         if cfg.num_nodes == 1:
             return Cluster.dgx1(cfg.num_gpus, scale=scale)
         from repro.hw.interconnect import Topology
-        from repro.hw.network import ClusterTopology, NICSpec, \
-            multi_server_cluster
+        from repro.hw.network import ClusterTopology, multi_server_cluster
 
         self.cluster_topology = ClusterTopology(
             num_servers=cfg.num_nodes,
@@ -134,13 +136,14 @@ class TrainingSystem:
         return multi_server_cluster(self.cluster_topology, scale=scale)
 
     def _make_engine(self) -> CostEngine:
-        """The op-pricing engine; clusters get per-server host CPUs and
-        the configured NIC as the network link."""
+        """The op-pricing engine, with the configured NIC as its network
+        link; hardware that spans servers gets per-server host CPUs."""
         cfg = self.config
-        if cfg.num_nodes == 1:
+        if self.cluster_topology is None:
             return CostEngine(
                 self.cluster,
                 launch_scale=self.batch_shrink,
+                network=NICSpec.preset(cfg.nic),
                 backend=cfg.comm_backend,
             )
         from repro.cluster.engine import ClusterCostEngine
@@ -180,7 +183,7 @@ class TrainingSystem:
     def _global_batches(self) -> list[np.ndarray]:
         seeds = self.data.train_nodes.copy()
         self._rng.shuffle(seeds)
-        global_batch = self.config.batch_size * self.k
+        global_batch = self.config.batch_size * self.config.total_gpus
         n = len(seeds) // global_batch
         if n == 0:
             raise ConfigError(
@@ -447,7 +450,7 @@ class DSP(TrainingSystem):
         cfg = self.config
         ds = self.base_dataset
         self.hierarchy = None
-        if cfg.num_nodes > 1:
+        if self.cluster_topology is not None:
             # two-level cut: cross-server edges are minimized first so
             # the slow network tier carries the least shuffle traffic
             from repro.cluster.partition import hierarchical_partition

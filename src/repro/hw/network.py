@@ -46,8 +46,9 @@ NIC_PRESETS = {
 @dataclass(frozen=True)
 class NICSpec:
     """One server's network interface (α–β cost parameters); the
-    one NIC spec behind ``CostEngine(network=...)``, the multi-server
-    :class:`ClusterTopology` and ``MultiMachineDSP(network=...)``.
+    one NIC spec behind ``CostEngine(network=...)`` and the
+    multi-server :class:`ClusterTopology`, built from ``RunConfig.nic``
+    for every system (``ReplicatedDSP`` included).
     """
 
     kind: str = "ethernet"

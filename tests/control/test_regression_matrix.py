@@ -5,6 +5,9 @@ Poisson), all at the pipeline's latency-floor SLO.  The controller must
 beat the static configuration in **every** cell, and the per-cell
 action accounting is pinned so that a behaviour change in the tuner —
 even one that still improves SLO minutes — shows up as a diff here.
+
+One more cell runs on 2 servers x 2 GPUs and is pinned by digest: the
+only control output that sees cross-server routes.
 """
 
 import pytest
@@ -12,7 +15,13 @@ import pytest
 from repro.control import CORE_SCENARIOS, ControllerConfig, control_matrix
 from repro.serve import ServeConfig, WorkloadConfig
 
-from tests.control.conftest import CFG, TIGHT_SLO_S
+from tests.control.conftest import CFG, TIGHT_SLO_S, digest
+
+#: ``link-flap/diurnal`` on 2 servers at 20k qps, where serving time
+#: (not the flap's queueing) sets p99, so the routes show in the digest
+TWO_SERVER_LINK_FLAP = (
+    "74181644fffedf13d182cd447ce9bcb8201cd8877c2a5585a9ed4dbb0b92b105"
+)
 
 WORKLOADS = {
     "diurnal": WorkloadConfig(num_requests=128, arrival="diurnal", seed=5),
@@ -75,3 +84,15 @@ def test_cells_cover_the_core_scenarios(matrix):
 def test_controller_never_sheds_more_than_static(matrix):
     for label, cell in matrix["cells"].items():
         assert cell["controller_shed"] <= cell["static_shed"], label
+
+
+def test_two_server_link_flap_cell_pinned():
+    cell = control_matrix(
+        "DSP", CFG.with_(num_nodes=2), ControllerConfig(),
+        scenarios=("link-flap",),
+        workload_configs={"diurnal": WORKLOADS["diurnal"]},
+        qps=20000.0,
+        serve_config=ServeConfig(slo_s=TIGHT_SLO_S),
+    )
+    assert cell["cells"]["link-flap/diurnal"]["improved"]
+    assert digest(cell) == TWO_SERVER_LINK_FLAP

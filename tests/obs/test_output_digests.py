@@ -3,8 +3,9 @@
 The other ``tests/obs`` and ``tests/metrics`` suites check properties
 of traces and metric series (nesting, monotone timestamps, totals that
 agree with the loader).  These tests pin the exact bytes: a Chrome
-trace, a ``repro serve`` sweep's JSON and per-point traces, the JSONL
-export of a metrics registry, and a traced chaos epoch.  Any change to
+trace (on one server and on two), a ``repro serve`` sweep's JSON and
+per-point traces, the JSONL export of a metrics registry, and a traced
+chaos epoch.  Any change to
 what the tracer, the registry or the invariant checker records — or to
 the order it records it in — changes a digest.
 
@@ -48,6 +49,13 @@ TRACE = {
     "DSP-Seq": "637914ac8d0a3ff3278f27f7352a94633a61daccbed9fc8d321e25473a7f9c82",
 }
 
+#: ``repro trace`` of DSP on 2 servers x 2 GPUs, 2 batches: the
+#: hierarchical shuffles (NVLink funnel, NIC exchange, scatter) and the
+#: NIC gradient ring, whose routes are asymmetric
+TRACE_TWO_SERVERS = (
+    "d92df5cf8946143080ceb1add88c70ce2910e9ab4067e8046f3eeea4d981a734"
+)
+
 #: ``repro serve`` with every instrumentation flag at qps 3000 (the
 #: controller acts) and 1e6 (admission sheds)
 SERVE = {
@@ -79,6 +87,14 @@ def test_trace_command(tmp_path, capsys, system):
                  "--out", str(out)]) == 0
     capsys.readouterr()
     assert sha(out.read_bytes()) == TRACE[system]
+
+
+def test_trace_command_two_servers(tmp_path, capsys):
+    out = tmp_path / "trace.json"
+    assert main(["trace", *ARGS, "--num-nodes", "2", "--system", "DSP",
+                 "--batches", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha(out.read_bytes()) == TRACE_TWO_SERVERS
 
 
 def test_serve_sweep(tmp_path, capsys):
@@ -162,6 +178,9 @@ def test_every_case_on_heap_core(heap_core, tmp_path, capsys):
         case_dir = tmp_path / f"trace-{system}"
         case_dir.mkdir()
         test_trace_command(case_dir, capsys, system)
+    case_dir = tmp_path / "trace-two-servers"
+    case_dir.mkdir()
+    test_trace_command_two_servers(case_dir, capsys)
     case_dir = tmp_path / "serve"
     case_dir.mkdir()
     test_serve_sweep(case_dir, capsys)
