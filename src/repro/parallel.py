@@ -31,9 +31,11 @@ serving sweep, single-server, routed or autoscaled), ``epoch``,
 ``chaos_scenario``, ``control_cell`` and ``partition`` (one per-server
 inner cut of a hierarchical partition).  Serving
 points reuse one built system per worker process (a point resets it
-first, see :meth:`repro.core.system.TrainingSystem.reset_point`);
-epoch tasks always build fresh because an epoch mutates sampler RNGs
-and shuffling state.
+first, see :meth:`repro.core.system.TrainingSystem.reset_point`).
+Chaos and control cells build their own (a serving cell one, reset
+between passes — the memo's may carry a sweep's cache warm-up); epoch
+tasks always build fresh because an epoch mutates sampler RNGs and
+shuffling state.
 """
 
 from __future__ import annotations
@@ -197,9 +199,10 @@ def _epoch(spec: RunSpec):
 def _chaos_scenario(spec: RunSpec):
     """One (system, scenario) resilience cell -> its result dict.
 
-    Always builds fresh systems inside :func:`run_scenario` (both the
-    baseline and the chaos pass mutate RNG state), so the cell is a
-    pure function of its spec — bit-identical across worker counts.
+    :func:`run_scenario` builds the cell's systems itself (a serving
+    cell one, reset between passes; a training cell one per pass), so
+    the cell is a pure function of its spec — bit-identical across
+    worker counts.
     """
     from repro.chaos.scenarios import run_scenario
 
@@ -212,10 +215,10 @@ def _chaos_scenario(spec: RunSpec):
 def _control_cell(spec: RunSpec):
     """One cell of the controller-vs-static evaluation matrix.
 
-    Builds fresh systems for every pass inside
-    :func:`repro.control.evaluate.control_cell` (serving under faults
-    must not share mutated state), so the cell is a pure function of
-    its spec — bit-identical across worker counts.
+    :func:`repro.control.evaluate.control_cell` builds one system and
+    resets it before each of its passes, never reusing one from the
+    per-process memo, so the cell is a pure function of its spec —
+    bit-identical across worker counts.
     """
     from repro.control.evaluate import control_cell
 

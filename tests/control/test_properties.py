@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chaos.faults import FaultPlan
-from repro.chaos.scenarios import _serve_pass
+from repro.chaos.injector import FaultInjector
 from repro.control import (
     AutoscaleConfig,
     ControllerConfig,
@@ -20,7 +20,7 @@ from repro.control import (
     assign_replicas,
 )
 from repro.serve import ServeConfig, WorkloadConfig, make_workload
-from repro.serve.sweep import serve_once
+from repro.serve.sweep import serve_once, serve_stream
 
 from tests.control.conftest import CFG
 
@@ -98,7 +98,7 @@ def test_scale_down_never_drops_in_flight(nodes, seed, target):
 
 @SIM_SETTINGS
 @given(plan_seed=st.integers(min_value=0, max_value=10_000))
-def test_random_fault_plans_conserve_requests(nodes, plan_seed):
+def test_random_fault_plans_conserve_requests(system, nodes, plan_seed):
     """Fuzz the full stack: a random bounded FaultPlan under tenancy +
     controller still terminates, conserves the stream, and keeps the
     strict invariant oracle quiet."""
@@ -109,12 +109,14 @@ def test_random_fault_plans_conserve_requests(nodes, plan_seed):
         slo_s=2e-3,
         controller=ControllerConfig(),
         tenancy=TenancyConfig.uniform(2, seed=plan_seed),
+        check_invariants=True,
     )
-    report, _, slo, _ = _serve_pass(
-        "DSP", CFG, cfg, w, 3000.0, plan
+    _, report = serve_stream(
+        system, w.requests(3000.0), 3000.0, cfg, metrics=True,
+        injector=None if plan.fault_free else FaultInjector(plan),
     )
     assert report.completed + report.shed == 64
-    assert slo["slo_minutes_violated"] >= 0.0
+    assert report.metrics["slo"]["slo_minutes_violated"] >= 0.0
 
 
 @SIM_SETTINGS
