@@ -18,7 +18,7 @@ CHAOS_CFG = RunConfig(dataset="tiny", num_gpus=2, num_nodes=2, hidden_dim=16,
 #: scenario on ``CHAOS_CFG``: the multi-server pin, which sees what the
 #: one-server matrices cannot (an asymmetric reshuffle, NIC transfers
 #: under network faults)
-CHAOS_SHA256 = "27d63be05c61cc001a756a132bb29db9d133eb83524cbd6fd3fc4b4130eda090"
+CHAOS_SHA256 = "4e8d1c5f7f52656f1acd368a9b12b67f885e68750880af29b9a21327f267e947"
 
 
 class TestConfig:
