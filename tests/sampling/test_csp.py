@@ -1,9 +1,12 @@
 """Tests for the collective sampling primitive."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graph import dcsbm_graph, metis_partition, renumber_by_partition
+from repro.graph.datasets import load_dataset
 from repro.sampling import CollectiveSampler, CSPConfig
 from repro.sampling.ops import AllToAll
 from repro.utils import ConfigError
@@ -178,6 +181,50 @@ class TestLayerWise:
             heavy = d >= np.median(d)
             if heavy.any() and (~heavy).any():
                 assert counts[heavy].mean() >= counts[~heavy].mean()
+
+
+#: sha256 of layer-wise (``replace=True``) blocks on ``tiny`` for
+#: k in {1, 2, 4} x unbiased/biased, three mini-batches each; pins the
+#: Eq. (2) quota draw from every GPU's own RNG stream
+LAYERWISE_SHA256 = (
+    "36a92a004063b527ff14613bd4aaa18ac3b54e87c2e4f6b3fb31a27bfb12c3b8"
+)
+
+
+def _layerwise_digest() -> str:
+    graph = load_dataset("tiny").graph
+    h = hashlib.sha256()
+    for k in (1, 2, 4):
+        for biased in (False, True):
+            g = graph
+            if biased:
+                g = g.with_node_weights(
+                    np.random.default_rng(1).random(g.num_nodes)
+                    .astype(np.float32)
+                )
+            rgraph, _, nb = renumber_by_partition(g, metis_partition(g, k, rng=0))
+            sampler = CollectiveSampler.from_partitioned(
+                rgraph, nb.part_offsets, seed=5
+            )
+            cfg = CSPConfig(fanout=(40, 25), scheme="layer", biased=biased)
+            rng = np.random.default_rng(9)
+            for _ in range(3):
+                seeds = [
+                    rng.choice(np.arange(nb.part_offsets[p],
+                                         nb.part_offsets[p + 1]),
+                               size=12, replace=False)
+                    for p in range(k)
+                ]
+                samples, _, _ = sampler.sample(seeds, cfg)
+                for s in samples:
+                    for b in s.blocks:
+                        for a in (b.dst_nodes, b.src_nodes, b.offsets):
+                            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def test_layerwise_blocks_pinned():
+    assert _layerwise_digest() == LAYERWISE_SHA256
 
 
 class TestValidation:
