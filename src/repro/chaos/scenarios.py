@@ -23,8 +23,8 @@ A pass that wedges on a crashed worker surfaces as outcome
 surfaces as ``"invariant-violation"``.
 
 :func:`resilience_report` fans the ``systems × scenarios`` matrix out
-through :mod:`repro.parallel` (run kind ``chaos_scenario``) and
-assembles one JSON-safe report.  Every cell is a pure function of
+through :mod:`repro.parallel` (one :func:`run_scenario` run per cell)
+and assembles one JSON-safe report.  Every cell is a pure function of
 ``(system name, scenario, RunConfig)``, so the report is bit-identical
 across ``--workers`` settings and repeated runs — the determinism
 contract the chaos tests pin down.
@@ -351,35 +351,23 @@ def resilience_report(
 ) -> dict:
     """Run the ``systems × scenarios`` matrix; one JSON-safe report.
 
-    Each cell is an independent :class:`~repro.parallel.RunSpec`
-    (kind ``chaos_scenario``), so ``workers > 1`` fans the matrix out
-    across processes with bit-identical results.  ``controller`` adds
-    the with-controller pass to serve-mode cells (see
-    :func:`run_scenario`).
+    Each cell is one :func:`run_scenario` call submitted to
+    :func:`repro.parallel.run_tasks`, so ``workers > 1`` fans the
+    matrix out across processes with bit-identical results.
+    ``controller`` adds the with-controller pass to serve-mode cells
+    (see :func:`run_scenario`).
     """
     from repro.parallel import RunSpec, run_tasks
 
     scenarios = list(scenarios)
     for name in scenarios:
         _get(name)  # fail fast on typos, before any simulation runs
-    options = {
-        "max_batches": max_batches,
-        "requests": requests,
-        "qps": qps,
-        "controller": controller,
-    }
     specs = [
-        RunSpec(
-            kind="chaos_scenario",
-            label=f"{system}/{scenario}",
-            seed=config.seed,
-            payload={
-                "system": system,
-                "scenario": scenario,
-                "config": config,
-                "options": options,
-            },
-        )
+        RunSpec(run_scenario, f"{system}/{scenario}", {
+            "system_name": system, "scenario": scenario, "config": config,
+            "max_batches": max_batches, "requests": requests, "qps": qps,
+            "controller": controller,
+        })
         for system in systems
         for scenario in scenarios
     ]

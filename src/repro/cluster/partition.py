@@ -166,18 +166,18 @@ def hierarchical_partition(
                 f"{gpus_per_server} GPUs; use fewer parts or a larger graph"
             )
         sub, ids = graph.induced_subgraph(nodes)
-        specs.append(RunSpec(
-            "partition", f"server {s} of {num_servers}", _server_seed(seed, s),
-            {"graph": sub, "num_parts": gpus_per_server, "method": method},
-        ))
+        specs.append(RunSpec(_cut, f"server {s} of {num_servers}", {
+            "graph": sub, "num_parts": gpus_per_server, "method": method,
+            "seed": _server_seed(seed, s),
+        }))
         old_ids.append(ids)
         edges += sub.num_edges
     # the inner cuts are independent: one process each, unless forking
     # would cost more than the cuts themselves
     workers = default_workers() if edges >= _FORK_MIN_EDGES else 1
     assignment = np.zeros(n, dtype=np.int64)
-    for s, (ids, local) in enumerate(zip(old_ids, run_tasks(specs, workers))):
-        assignment[ids] = s * gpus_per_server + local
+    for s, (ids, cut) in enumerate(zip(old_ids, run_tasks(specs, workers))):
+        assignment[ids] = s * gpus_per_server + cut.assignment
     hp = HierarchicalPartition(
         server=server,
         gpu=Partition(assignment, num_servers * gpus_per_server),

@@ -20,10 +20,10 @@ crashes — simply leave the cell fault-equivalent, and the assertion
 ``controller <= static`` still must hold).  The pseudo-scenario
 ``"none"`` covers fault-free drift/burst workloads.
 
-Every cell is a pure function of its spec and fans out through
-:mod:`repro.parallel` (run kind ``control_cell``), so the matrix is
-byte-identical across ``--workers`` — the regression suite pins cells
-of this matrix, including action counts.
+Every cell is a pure function of its arguments and fans out through
+:mod:`repro.parallel` (one :func:`control_cell` run each), so the
+matrix is byte-identical across ``--workers`` — the regression suite
+pins cells of this matrix, including action counts.
 """
 
 from __future__ import annotations
@@ -132,21 +132,16 @@ def control_matrix(
                                       seed=config.seed)
         }
     specs = [
-        RunSpec(
-            kind="control_cell",
-            label=f"{scenario}/{wl_label}",
-            seed=config.seed,
-            payload={
-                "system": system_name,
-                "config": config,
-                "scenario": scenario,
-                "controller": controller,
-                "workload_config": wl_cfg,
-                "requests": requests,
-                "qps": qps,
-                "serve_config": serve_config,
-            },
-        )
+        RunSpec(control_cell, f"{scenario}/{wl_label}", {
+            "system_name": system_name,
+            "config": config,
+            "scenario": scenario,
+            "controller": controller,
+            "workload_config": wl_cfg,
+            "requests": requests,
+            "qps": qps,
+            "serve_config": serve_config,
+        })
         for scenario in scenarios
         for wl_label, wl_cfg in workload_configs.items()
     ]

@@ -38,8 +38,8 @@ def _fan_out(monkeypatch) -> list:
     return _spy_run_tasks(monkeypatch)
 
 
-def _hierarchical_in_worker(spec):
-    return _digest(hierarchical_partition(GRAPH, 2, 2, seed=spec.seed))
+def _hierarchical_in_worker(seed):
+    return _digest(hierarchical_partition(GRAPH, 2, 2, seed=seed))
 
 
 class TestInnerCutFanOut:
@@ -66,8 +66,8 @@ class TestInnerCutFanOut:
         inner-cut pool from there."""
         want = [_digest(hierarchical_partition(GRAPH, 2, 2, seed=s)) for s in (3, 4)]
         _fan_out(monkeypatch)
-        monkeypatch.setitem(parallel._HANDLERS, "hierarchical", _hierarchical_in_worker)
-        specs = [parallel.RunSpec("hierarchical", f"seed {s}", s) for s in (3, 4)]
+        specs = [parallel.RunSpec(_hierarchical_in_worker, f"seed {s}", {"seed": s})
+                 for s in (3, 4)]
         assert parallel.run_tasks(specs, workers=2) == want
 
 

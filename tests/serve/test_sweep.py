@@ -60,9 +60,10 @@ class TestSweep:
         AutoscaleConfig(min_replicas=1, max_replicas=3),
     ], ids=["single", "router", "auto"])
     def test_one_serve_once_call_per_point(self, monkeypatch, replicas):
-        """The sweep handler looks ``serve_once`` up in its module at
-        call time and calls it exactly once per point in every replicas
-        mode — the hook a wrapper around the module attribute sees."""
+        """The sweep's point function looks ``serve_once`` up in its
+        module at call time and calls it exactly once per point in every
+        replicas mode — the hook a wrapper around the module attribute
+        sees."""
         import repro.serve.sweep as sweep
 
         calls = []

@@ -1,48 +1,18 @@
 """Tests for the multi-core run executor (:mod:`repro.parallel`)."""
 
-import numpy as np
 import pytest
 
-from repro.parallel import (
-    RunSpec,
-    adopt_system,
-    default_workers,
-    derive_seed,
-    register_handler,
-    run_tasks,
-)
+from repro.parallel import RunSpec, adopt_system, default_workers, run_tasks
 from repro.parallel import _SYSTEM_CACHE, _reset_worker_state
-from repro.utils import ConfigError, WorkerError
+from repro.utils import WorkerError
 
 
-def _echo(spec):
-    return ("echo", spec.label, spec.seed, spec.payload.get("x"))
+def _echo(label, x):
+    return ("echo", label, x)
 
 
-def _boom(spec):
-    raise ValueError(f"boom in {spec.label}")
-
-
-register_handler("t-echo", _echo)
-register_handler("t-boom", _boom)
-
-
-class TestDeriveSeed:
-    def test_pure_function_of_root_and_index(self):
-        assert derive_seed(7, 3) == derive_seed(7, 3)
-
-    def test_distinct_across_indices_and_roots(self):
-        seeds = {derive_seed(0, i) for i in range(64)}
-        assert len(seeds) == 64
-        assert derive_seed(0, 1) != derive_seed(1, 1)
-
-    def test_matches_seedsequence_spawn_key(self):
-        seq = np.random.SeedSequence(entropy=5, spawn_key=(2,))
-        assert derive_seed(5, 2) == int(seq.generate_state(1, np.uint64)[0])
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ConfigError):
-            derive_seed(0, -1)
+def _boom(label):
+    raise ValueError(f"boom in {label}")
 
 
 class TestDefaultWorkers:
@@ -55,8 +25,7 @@ class TestDefaultWorkers:
 class TestRunTasks:
     def specs(self, n=5):
         return [
-            RunSpec(kind="t-echo", label=f"run{i}",
-                    seed=derive_seed(0, i), payload={"x": i})
+            RunSpec(_echo, f"run{i}", {"label": f"run{i}", "x": i})
             for i in range(n)
         ]
 
@@ -65,7 +34,7 @@ class TestRunTasks:
 
     def test_inline_results_in_spec_order(self):
         out = run_tasks(self.specs(), workers=1)
-        assert [r[3] for r in out] == [0, 1, 2, 3, 4]
+        assert [r[2] for r in out] == [0, 1, 2, 3, 4]
 
     def test_pool_results_in_spec_order(self):
         out = run_tasks(self.specs(), workers=2)
@@ -73,15 +42,11 @@ class TestRunTasks:
 
     def test_single_spec_runs_inline_even_with_workers(self):
         out = run_tasks(self.specs(1), workers=4)
-        assert out == [("echo", "run0", derive_seed(0, 0), 0)]
-
-    def test_unknown_kind_raises_config_error_inline(self):
-        with pytest.raises(WorkerError, match="no-such-kind"):
-            run_tasks([RunSpec(kind="no-such-kind", label="x")], workers=1)
+        assert out == [("echo", "run0", 0)]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_crash_surfaces_child_traceback(self, workers):
-        specs = self.specs(2) + [RunSpec(kind="t-boom", label="bad")]
+        specs = self.specs(2) + [RunSpec(_boom, "bad", {"label": "bad"})]
         with pytest.raises(WorkerError) as err:
             run_tasks(specs, workers=workers)
         assert err.value.label == "bad"
@@ -104,12 +69,12 @@ class TestRunSpecPickling:
         import pickle
 
         from repro.core import RunConfig
+        from repro.serve.sweep import _serve_point
 
-        spec = RunSpec(
-            kind="serve_point", label="qps500", seed=derive_seed(3, 0),
-            payload={"system": "DSP", "config": RunConfig(dataset="tiny"),
-                     "qps": 500.0},
-            trace_path="/tmp/t-qps500.json",
-        )
+        spec = RunSpec(_serve_point, "qps500", {
+            "system_name": "DSP", "config": RunConfig(dataset="tiny"),
+            "qps": 500.0, "trace_path": "t-qps500.json",
+        })
         clone = pickle.loads(pickle.dumps(spec))
         assert clone == spec
+        assert clone.fn is _serve_point
