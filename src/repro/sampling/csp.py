@@ -433,19 +433,14 @@ class CollectiveSampler:
         does one lightweight id -> weight exchange, which the trace
         records.
         """
-        k = self.num_gpus
+        # layerwise.py imports this module, so import its split here
+        from repro.sampling.layerwise import layerwise_quotas
+
         weights = self._fetch_frontier_weights(frontiers, config, trace, owners)
-        quotas = []
-        for g, frontier in enumerate(frontiers):
-            w = weights[g]
-            total = w.sum()
-            if len(frontier) == 0 or total <= 0:
-                quotas.append(np.zeros(len(frontier), dtype=np.int64))
-                continue
-            quotas.append(
-                self.rngs[g].multinomial(budget, w / total).astype(np.int64)
-            )
-        return quotas
+        return [
+            layerwise_quotas(w, budget, self.rngs[g])
+            for g, w in enumerate(weights)
+        ]
 
     def _fetch_frontier_weights(
         self,
