@@ -54,6 +54,26 @@ class TestCompareEquivalence:
             got = json.dumps({k: metrics_dict(m) for k, m in out.items()})
             assert got == ref, f"workers={n} diverged"
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compare_runs_the_epoch_instead_of_reading_a_memo(self, workers):
+        # a forked worker inherits the parent's measured_epoch memo, so
+        # a poisoned entry there shows if compare reads it instead of
+        # building and running the epoch
+        from repro.bench.harness import _measured_epoch_cached, measured_epoch
+
+        real = measured_epoch("PyG", CFG, max_batches=2).epoch_time
+        # lru_cache keys positional and keyword calls apart: poison both
+        for memo in (_measured_epoch_cached("PyG", CFG, 2),
+                     _measured_epoch_cached(system="PyG", cfg=CFG,
+                                            max_batches=2)):
+            memo.epoch_time = -1.0
+        try:
+            out = compare_epochs(("PyG", "DSP"), CFG, max_batches=2,
+                                 workers=workers)
+        finally:
+            _measured_epoch_cached.cache_clear()
+        assert out["PyG"].epoch_time == real
+
 
 class TestCrashPropagation:
     @pytest.mark.parametrize("workers", [1, 2])
