@@ -48,7 +48,7 @@ import numpy as np
 
 from repro.cache.loader import dedup
 from repro.cache.store import PartitionedCache
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, count, non_negative, require
 
 __all__ = ["DynamicCacheConfig", "DynamicCachePolicy"]
 
@@ -118,18 +118,13 @@ class DynamicCacheConfig:
     hysteresis: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.window < 1:
-            raise ConfigError("window must be >= 1")
-        if not 0.0 < self.ewma <= 1.0:
-            raise ConfigError("ewma must be in (0, 1]")
-        if self.max_moves is not None and self.max_moves < 0:
-            raise ConfigError("max_moves must be non-negative")
-        if self.prefetch_quota < 0:
-            raise ConfigError("prefetch_quota must be non-negative")
-        if self.prior < 0:
-            raise ConfigError("prior must be non-negative")
-        if self.hysteresis < 0:
-            raise ConfigError("hysteresis must be non-negative")
+        count("window", self.window)
+        require(0 < self.ewma <= 1, "ewma", "a weight in (0, 1]", self.ewma)
+        if self.max_moves is not None:
+            count("max_moves", self.max_moves, 0)
+        count("prefetch_quota", self.prefetch_quota, 0)
+        non_negative("prior", self.prior)
+        non_negative("hysteresis", self.hysteresis)
 
 
 class DynamicCachePolicy:

@@ -1,16 +1,9 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands
---------
-``train``    train one system and print per-epoch metrics
-``compare``  run several systems on one workload (Table 4 style)
-``info``     show datasets, systems and the simulated hardware
-``infer``    train then run distributed full-graph inference
-``serve``    online inference serving: QPS sweep, SLO accounting, knee
-``trace``    run one traced epoch; write a Chrome trace, print stalls
-``chaos``    deterministic fault-injection scenarios -> resilience report
-``control``  controller-on vs static SLO-minutes matrix -> verdict
-``report``   merge saved serve/chaos/trace artifacts into one HTML report
+``python -m repro -h`` lists the nine commands (:func:`build_parser`).
+A flag that sets a config field is one row of :data:`CONFIG_FLAGS`:
+its type, default and choices come from the field, and the field's
+config checks its value (see ``docs/extending.md``).
 """
 
 from __future__ import annotations
@@ -18,13 +11,97 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
+from typing import NamedTuple
 
 from repro.bench.harness import TABLE_SYSTEMS
+from repro.cluster import RouterConfig
+from repro.control import AutoscaleConfig, ControllerConfig
 from repro.core import RunConfig, SYSTEMS, build_system
 from repro.core.metrics import metrics_dict as _metrics_dict, scrub_nan
 from repro.graph import DATASET_SPECS
+from repro.serve import ServeConfig, WorkloadConfig
 from repro.utils import fmt_bytes, fmt_time
-from repro.utils.errors import ConfigError
+from repro.utils.errors import (INF, CapacityError, ConfigError, count,
+                                positive, require, show)
+
+
+class Flag(NamedTuple):
+    """A flag that sets one config field.  ``unit`` scales the flag's
+    value to the field's (ms -> s); ``choices`` narrows a field that
+    has none of its own."""
+
+    config: type
+    field: str
+    help: str = ""
+    unit: float | None = None
+    choices: tuple | None = None
+
+
+#: every config-backed flag; its type, default and choices are read
+#: from the field it sets, and the field's config checks its value
+CONFIG_FLAGS = {
+    "--dataset": Flag(RunConfig, "dataset", "dataset",
+                      choices=tuple(sorted(DATASET_SPECS))),
+    "--gpus": Flag(RunConfig, "num_gpus", "GPUs per server"),
+    "--num-nodes": Flag(RunConfig, "num_nodes", "servers (see docs/cluster.md)"),
+    "--nic": Flag(RunConfig, "nic", "cross-server NIC model"),
+    "--model": Flag(RunConfig, "model", "GNN architecture"),
+    "--hidden": Flag(RunConfig, "hidden_dim", "hidden width"),
+    "--batch-size": Flag(RunConfig, "batch_size", "seeds per GPU per step"),
+    "--fanout": Flag(RunConfig, "fanout", "comma-separated per-layer fan-out"),
+    "--lr": Flag(RunConfig, "lr", "learning rate"),
+    "--dynamic-cache": Flag(RunConfig, "dynamic_cache", "see docs/caching.md"),
+    "--cache-window": Flag(RunConfig, "cache_window", "loader calls per window"),
+    "--cache-ewma": Flag(RunConfig, "cache_ewma", "EWMA weight of a window"),
+    "--cache-prefetch": Flag(RunConfig, "cache_prefetch", "prefetches per load"),
+    "--cache-bias": Flag(RunConfig, "cache_bias", "GNS sampling bias"),
+    "--compress": Flag(RunConfig, "compress", "cold-path feature codec"),
+    "--cache-bytes": Flag(RunConfig, "feature_cache_bytes", "per-GPU feature "
+                          "cache budget (None = what memory fits)"),
+    "--seed": Flag(RunConfig, "seed", "seeds the run and every stream"),
+    "--requests": Flag(WorkloadConfig, "num_requests", "requests per point"),
+    "--arrival": Flag(WorkloadConfig, "arrival", "arrival process"),
+    "--skew": Flag(WorkloadConfig, "skew", "Zipf popularity exponent"),
+    "--drift-phases": Flag(WorkloadConfig, "drift_phases", "Zipf hot-set phases"),
+    "--slo-ms": Flag(ServeConfig, "slo_s", "p99 latency SLO in ms", 1e-3),
+    "--batch-max": Flag(ServeConfig, "batch_max", "dynamic batch size cap"),
+    "--batch-timeout-ms": Flag(ServeConfig, "batch_timeout_s", "max-wait", 1e-3),
+    "--queue-capacity": Flag(ServeConfig, "queue_capacity", "per-GPU queue cap"),
+    "--functional": Flag(ServeConfig, "functional", "run the forward pass"),
+    "--invariants": Flag(ServeConfig, "check_invariants", "audit every point"),
+    "--control-interval-ms": Flag(ControllerConfig, "interval_s", "controller "
+                                  "tick in ms (None = 4 SLO windows)", 1e-3),
+    "--scale-min": Flag(AutoscaleConfig, "min_replicas", "replica floor"),
+    "--scale-max": Flag(AutoscaleConfig, "max_replicas", "replica cap (1 = off)"),
+    "--target-qps-per-replica": Flag(AutoscaleConfig, "target_qps_per_replica",
+                                     "replica capacity to size for (None = "
+                                     "offered QPS / scale-max)"),
+    "--num-replicas": Flag(RouterConfig, "num_replicas", "routed replicas"),
+    "--routing": Flag(RouterConfig, "policy", "routing policy across replicas"),
+}
+
+#: the flags of every command that runs a workload
+RUN_FLAGS = tuple(f for f, row in CONFIG_FLAGS.items()
+                  if row.config is RunConfig)
+#: the request-stream and batcher flags serve and control share
+SERVING_FLAGS = ("--requests", "--arrival", "--skew", "--drift-phases",
+                 "--slo-ms", "--batch-max", "--batch-timeout-ms",
+                 "--queue-capacity")
+#: where serve and control default away from the library: a 5 ms SLO,
+#: a 1 ms max-wait and 256 requests per point (flag units)
+SERVING_DEFAULTS = {"--requests": 256, "--slo-ms": 5.0,
+                    "--batch-timeout-ms": 1.0}
+
+#: flags that set no config field, and the least count each takes
+COUNT_FLAGS = {"--workers": 1, "--batches": 1, "--tenants": 0,
+               "--cache-warmup": 0}
+
+_TYPES = {"int": int, "float": float, "float | None": float}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
 
 
 def _fail(message: str) -> int:
@@ -33,20 +110,27 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _restate(err, args) -> str:
+    """``err`` in the terms of the flag its field came from, with the
+    value as the flag took it; an error about no flag as it is."""
+    for flag, row in CONFIG_FLAGS.items():
+        if row.field == err.field and hasattr(args, _dest(flag)):
+            value = getattr(args, _dest(flag))
+            return f"{flag} expects {err.expects}, got {show(value)}"
+    return str(err)
+
+
 def _control_figures(control: dict | None) -> tuple[int, int]:
     """(total controller actions, final replica count) from any of the
     three ``report.control`` shapes: single-server tuner summary,
     router ``{"replicas": [...]}``, autoscaler ``{"autoscale": ...}``."""
     if not control:
         return 0, 1
-    actions = 0
-    replicas = 1
     tuners = control.get("replicas", [control] if "action_counts" in control
                          else [])
-    for t in tuners:
-        if t:
-            actions += sum(t.get("action_counts", {}).values())
-    replicas = max(replicas, len(tuners))
+    actions = sum(sum(t.get("action_counts", {}).values())
+                  for t in tuners if t)
+    replicas = max(1, len(tuners))
     auto = control.get("autoscale")
     if auto:
         actions += len(auto.get("actions", ()))
@@ -54,79 +138,26 @@ def _control_figures(control: dict | None) -> tuple[int, int]:
     return actions, replicas
 
 
-def _add_workload_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dataset", default="products", choices=sorted(DATASET_SPECS))
-    p.add_argument("--gpus", type=int, default=8)
-    p.add_argument("--num-nodes", type=int, default=1,
-                   help="servers in the cluster (default 1; >1 needs a "
-                        "DSP-family system, see docs/cluster.md)")
-    p.add_argument("--nic", default="ethernet",
-                   choices=["ethernet", "infiniband"],
-                   help="cross-server NIC model (default ethernet)")
-    p.add_argument("--model", default="sage", choices=["sage", "gcn", "gat"])
-    p.add_argument("--hidden", type=int, default=256)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--fanout", default="15,10,5",
-                   help="comma-separated per-layer fan-out")
-    p.add_argument("--lr", type=float, default=3e-3)
-    p.add_argument("--dynamic-cache", action="store_true",
-                   help="access-frequency cache promotion/demotion on "
-                        "top of the static layout (DSP family; see "
-                        "docs/caching.md)")
-    p.add_argument("--cache-window", type=int, default=8,
-                   help="loader calls per dynamic rebalance window "
-                        "(default 8)")
-    p.add_argument("--cache-ewma", type=float, default=0.5,
-                   help="EWMA weight of the newest window (default 0.5)")
-    p.add_argument("--cache-prefetch", type=int, default=32,
-                   help="max frontier-prefetch promotions per patch per "
-                        "load, 0 = off (default 32)")
-    p.add_argument("--cache-bias", type=float, default=0.0,
-                   help="GNS-style sampling bias toward cached nodes "
-                        "(default 0 = off, bit-identical sampling)")
-    p.add_argument("--compress", default="none",
-                   choices=["none", "fp16", "int8"],
-                   help="cold-path feature codec: non-local rows travel "
-                        "compressed and decode on arrival (default none)")
-    p.add_argument("--cache-bytes", type=float, default=None,
-                   help="per-GPU feature cache budget in bytes (default: "
-                        "whatever fits device memory)")
-    p.add_argument("--seed", type=int, default=0)
-
-
-def _add_serve_args(p: argparse.ArgumentParser, arrival: str) -> None:
-    """The batcher and request-stream flags ``serve`` and ``control``
-    share; ``arrival`` is the command's default arrival process."""
-    p.add_argument("--requests", type=int, default=256,
-                   help="requests per sweep point or cell (default 256)")
-    p.add_argument("--slo-ms", type=float, default=5.0,
-                   help="p99 latency SLO in milliseconds (default 5)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="dynamic batch size cap (default 16)")
-    p.add_argument("--batch-timeout-ms", type=float, default=1.0,
-                   help="dynamic batch max-wait in ms (default 1)")
-    p.add_argument("--queue-capacity", type=int, default=64,
-                   help="per-GPU admission queue bound (default 64)")
-    p.add_argument("--arrival", default=arrival,
-                   choices=["poisson", "bursty", "diurnal"])
-    p.add_argument("--skew", type=float, default=0.8,
-                   help="Zipf popularity exponent for seed nodes")
-    p.add_argument("--drift-phases", type=int, default=1,
-                   help="popularity-drift phases: the Zipf hot set "
-                        "permutes this many times over the request "
-                        "stream (default 1 = stationary)")
-
-
-def _add_workers_arg(p: argparse.ArgumentParser, task: str) -> None:
-    p.add_argument("--workers", type=int, default=1,
-                   help=f"worker processes, one task per {task} "
-                        "(default 1 = serial; results are bit-identical)")
-
-
-def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", metavar="PATH",
-                   help="write the JSON to PATH instead of stdout")
+def _add_config_flags(p: argparse.ArgumentParser, flags,
+                      defaults: dict | None = None) -> None:
+    """Add ``flags`` (keys of :data:`CONFIG_FLAGS`) to ``p``, each typed,
+    defaulted and limited by the field it sets; ``defaults`` overrides
+    a field's default for this command, in the flag's units."""
+    defaults = defaults or {}
+    for flag in flags:
+        row = CONFIG_FLAGS[flag]
+        f = next(f for f in fields(row.config) if f.name == row.field)
+        if f.type == "bool":
+            p.add_argument(flag, action="store_true", help=row.help)
+            continue
+        default = defaults.get(flag, f.default)
+        if isinstance(default, tuple):
+            default = ",".join(map(str, default))
+        elif flag not in defaults and row.unit and default is not None:
+            default /= row.unit
+        p.add_argument(flag, type=_TYPES.get(f.type), default=default,
+                       choices=row.choices or f.metadata.get("choices"),
+                       help=row.help)
 
 
 def _fanout(text: str) -> tuple[int, ...]:
@@ -138,21 +169,28 @@ def _fanout(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _at_least(minimum: int, *counts: tuple[str, int]) -> None:
-    """Reject any ``(flag, count)`` below ``minimum``, naming both."""
-    for flag, count in counts:
-        if count < minimum:
-            raise ConfigError(
-                f"{flag} expects a count >= {minimum}, got {count}"
-            )
-
-
-def _check_qps(values, text: str) -> None:
-    """Every offered load must be a positive finite rate."""
-    if not all(0.0 < q < float("inf") for q in values):
-        raise ConfigError(
-            f"--qps expects positive finite offered loads, got {text!r}"
-        )
+def build_configs(args) -> dict:
+    """The configs the parsed ``args`` set, keyed by class: one per
+    config some flag of the command maps to, so each value is checked
+    once, by its config.  Every such config with a ``seed`` takes
+    ``--seed``.  Checks the :data:`COUNT_FLAGS` too; builds no system."""
+    for flag, minimum in COUNT_FLAGS.items():
+        if hasattr(args, _dest(flag)):
+            count(flag, getattr(args, _dest(flag)), minimum)
+    kwargs: dict = {}
+    for flag, row in CONFIG_FLAGS.items():
+        if not hasattr(args, _dest(flag)):
+            continue
+        value = getattr(args, _dest(flag))
+        if flag == "--fanout":
+            value = _fanout(value)
+        elif row.unit and value is not None:
+            value *= row.unit
+        kwargs.setdefault(row.config, {})[row.field] = value
+    for cls, kw in kwargs.items():
+        if any(f.name == "seed" for f in fields(cls)):
+            kw["seed"] = args.seed
+    return {cls: cls(**kw) for cls, kw in kwargs.items()}
 
 
 def _systems(args, default=()) -> list[str]:
@@ -168,70 +206,9 @@ def _systems(args, default=()) -> list[str]:
     return names
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(
-        dataset=args.dataset,
-        num_gpus=args.gpus,
-        num_nodes=args.num_nodes,
-        nic=args.nic,
-        model=args.model,
-        hidden_dim=args.hidden,
-        batch_size=args.batch_size,
-        fanout=_fanout(args.fanout),
-        lr=args.lr,
-        dynamic_cache=args.dynamic_cache,
-        cache_window=args.cache_window,
-        cache_ewma=args.cache_ewma,
-        cache_prefetch=args.cache_prefetch,
-        cache_bias=args.cache_bias,
-        compress=args.compress,
-        feature_cache_bytes=args.cache_bytes,
-        seed=args.seed,
-    )
-
-
-def _controller_config(args, max_pressure: int = 0):
-    from repro.control import ControllerConfig
-
-    return ControllerConfig(
-        interval_s=(args.control_interval_ms * 1e-3
-                    if args.control_interval_ms is not None else None),
-        max_pressure=max_pressure,
-    )
-
-
-def _serve_config(args, **extra):
-    from repro.serve import ServeConfig
-
-    return ServeConfig(
-        batch_max=args.batch_max,
-        batch_timeout_s=args.batch_timeout_ms * 1e-3,
-        queue_capacity=args.queue_capacity,
-        slo_s=args.slo_ms * 1e-3,
-        **extra,
-    )
-
-
-def _workload_config(args):
-    from repro.serve import WorkloadConfig
-
-    _at_least(1, ("--requests", args.requests),
-              ("--drift-phases", args.drift_phases))
-    if not args.skew >= 0:
-        raise ConfigError(f"--skew expects an exponent >= 0, got {args.skew:g}")
-    return WorkloadConfig(
-        num_requests=args.requests,
-        arrival=args.arrival,
-        skew=args.skew,
-        drift_phases=args.drift_phases,
-        seed=args.seed,
-    )
-
-
 def cmd_train(args) -> int:
     """``repro train``: train one system, print per-epoch metrics."""
-    cfg = _config(args)
-    system = build_system(args.system, cfg)
+    system = build_system(args.system, build_configs(args)[RunConfig])
     rows = []
     print(f"{'epoch':>5} {'loss':>9} {'val acc':>8} {'epoch time':>12} "
           f"{'NVLink':>10} {'PCIe':>10}")
@@ -255,9 +232,8 @@ def cmd_compare(args) -> int:
     """
     from repro.bench.harness import compare_epochs
 
-    cfg = _config(args)
+    cfg = build_configs(args)[RunConfig]
     systems = _systems(args, default=TABLE_SYSTEMS)
-    _at_least(1, ("--batches", args.batches), ("--workers", args.workers))
     out = compare_epochs(
         systems, cfg, max_batches=args.batches, workers=args.workers
     )
@@ -295,8 +271,7 @@ def cmd_infer(args) -> int:
     from repro.core.inference import full_graph_inference
     from repro.nn import accuracy
 
-    cfg = _config(args)
-    system = build_system(args.system, cfg)
+    system = build_system(args.system, build_configs(args)[RunConfig])
     rows = []
     for epoch in range(args.epochs):
         m = system.run_epoch()
@@ -328,20 +303,20 @@ def cmd_serve(args) -> int:
 
     from repro.serve import make_workload, max_sustainable_qps, qps_sweep
 
-    cfg = _config(args)
+    configs = build_configs(args)
+    cfg = configs[RunConfig]
     try:
         qps_values = [float(q) for q in args.qps.split(",")]
     except ValueError:
         raise ConfigError(
             f"--qps expects comma-separated numbers, got {args.qps!r}"
         ) from None
-    _check_qps(qps_values, args.qps)
-    window = args.metrics_window_ms
-    if window is not None and not 0.0 < window < float("inf"):
-        raise ConfigError(f"--metrics-window-ms expects a positive width, got {window:g}")
-    _at_least(0, ("--tenants", args.tenants),
-              ("--cache-warmup", args.cache_warmup))
-    _at_least(1, ("--workers", args.workers))
+    require(all(0 < q < INF for q in qps_values), "--qps",
+            "positive finite offered loads", args.qps)
+    metrics_window_s = None
+    if args.metrics_window_ms is not None:
+        positive("--metrics-window-ms", args.metrics_window_ms)
+        metrics_window_s = args.metrics_window_ms * 1e-3
     if args.cache_warmup and not args.dynamic_cache:
         raise ConfigError(
             f"--cache-warmup {args.cache_warmup} needs --dynamic-cache"
@@ -353,35 +328,21 @@ def cmd_serve(args) -> int:
         tenancy = TenancyConfig.uniform(args.tenants, seed=args.seed)
     controller = None
     if args.controller:
-        controller = _controller_config(
-            args, max_pressure=tenancy.max_priority() if tenancy else 0
+        controller = replace(
+            configs[ControllerConfig],
+            max_pressure=tenancy.max_priority() if tenancy else 0,
         )
-    serve_cfg = _serve_config(
-        args,
-        functional=args.functional,
-        check_invariants=args.invariants,
-        controller=controller,
-        tenancy=tenancy,
-    )
-    wl_cfg = _workload_config(args)
+    serve_cfg = replace(configs[ServeConfig], controller=controller,
+                        tenancy=tenancy)
     systems = _systems(args)
     if args.scale_max > 1 and args.num_replicas != 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
     replicas = None
     if args.scale_max > 1:
-        from repro.control import AutoscaleConfig
-
-        replicas = AutoscaleConfig(
-            min_replicas=args.scale_min,
-            max_replicas=args.scale_max,
-            target_qps_per_replica=args.target_qps_per_replica,
-        )
+        replicas = configs[AutoscaleConfig]
     elif args.num_replicas != 1:
-        from repro.cluster import RouterConfig
-
-        replicas = RouterConfig(num_replicas=args.num_replicas,
-                                policy=args.routing, seed=args.seed)
+        replicas = configs[RouterConfig]
     if replicas is not None and args.trace_base:
         return _fail("--trace-base is ambiguous with replicated or "
                      "autoscaled serving; trace a single replica instead")
@@ -403,7 +364,8 @@ def cmd_serve(args) -> int:
         system = build_system(name, cfg)
         if workload is None:
             workload = make_workload(
-                wl_cfg, np.arange(system.base_dataset.num_nodes)
+                configs[WorkloadConfig],
+                np.arange(system.base_dataset.num_nodes)
             )
         warm_nodes = None
         if args.cache_warmup > 0:
@@ -421,10 +383,6 @@ def cmd_serve(args) -> int:
             from repro.obs import run_trace_path
 
             trace_base = run_trace_path(args.trace_base, name)
-        metrics_window_s = (
-            args.metrics_window_ms * 1e-3
-            if args.metrics_window_ms is not None else None
-        )
         points = qps_sweep(
             system, workload, qps_values, serve_cfg,
             workers=args.workers, trace_base=trace_base,
@@ -465,20 +423,12 @@ def cmd_trace(args) -> int:
     prints the per-GPU busy/stall breakdown and the epoch's critical
     path (see ``docs/observability.md``).
     """
-    from repro.obs import (
-        Tracer,
-        critical_path,
-        format_breakdown,
-        format_critical_path,
-        stall_breakdown,
-        to_text,
-        write_chrome_trace,
-    )
+    from repro.obs import (Tracer, critical_path, format_breakdown,
+                           format_critical_path, stall_breakdown, to_text,
+                           write_chrome_trace)
     from repro.utils import DeadlockError
 
-    cfg = _config(args)
-    _at_least(1, ("--batches", args.batches))
-    system = build_system(args.system, cfg)
+    system = build_system(args.system, build_configs(args)[RunConfig])
     tracer = Tracer()
     deadlock = None
     try:
@@ -534,16 +484,12 @@ def cmd_chaos(args) -> int:
     Exit code 1 iff any run violated a simulation invariant — stalls
     from crash scenarios are *findings*, not harness failures.
     """
-    from repro.chaos.scenarios import (
-        SCENARIOS,
-        format_report,
-        resilience_report,
-    )
-    cfg = _config(args)
+    from repro.chaos.scenarios import SCENARIOS, format_report, resilience_report
+
+    configs = build_configs(args)
+    cfg = configs[RunConfig]
     systems = _systems(args)
-    _at_least(1, ("--batches", args.batches), ("--requests", args.requests),
-              ("--workers", args.workers))
-    _check_qps([args.qps], f"{args.qps:g}")
+    positive("--qps", args.qps)
     if cfg.num_nodes > 1:
         multinode = [s for s in systems if SYSTEMS[s].multinode]
         dropped = sorted(set(systems) - set(multinode))
@@ -557,7 +503,7 @@ def cmd_chaos(args) -> int:
         [s for s in args.scenarios.split(",") if s]
         if args.scenarios else sorted(SCENARIOS)
     )
-    controller = _controller_config(args) if args.controller else None
+    controller = configs[ControllerConfig] if args.controller else None
     payload = resilience_report(
         systems,
         scenarios,
@@ -586,26 +532,21 @@ def cmd_control(args) -> int:
     Exit code 1 iff any cell regressed (controller strictly worse than
     its static configuration).
     """
-    from repro.control import (
-        CORE_SCENARIOS,
-        control_matrix,
-        format_control_matrix,
-    )
+    from repro.control import CORE_SCENARIOS, control_matrix, format_control_matrix
 
-    cfg = _config(args)
+    configs = build_configs(args)
     scenarios = ([s for s in args.scenarios.split(",") if s]
                  if args.scenarios else list(CORE_SCENARIOS))
-    _at_least(1, ("--workers", args.workers))
-    _check_qps([args.qps], f"{args.qps:g}")
+    positive("--qps", args.qps)
     label = args.arrival if args.drift_phases <= 1 else (
         f"{args.arrival}+drift{args.drift_phases}"
     )
     payload = control_matrix(
-        args.system, cfg, _controller_config(args),
+        args.system, configs[RunConfig], configs[ControllerConfig],
         scenarios=scenarios,
-        workload_configs={label: _workload_config(args)},
+        workload_configs={label: configs[WorkloadConfig]},
         qps=args.qps,
-        serve_config=_serve_config(args),
+        serve_config=configs[ServeConfig],
         workers=args.workers,
     )
     print(format_control_matrix(payload))
@@ -654,15 +595,10 @@ def cmd_report(args) -> int:
         if args.chaos:
             chaos_payload = load(args.chaos)
         if args.trace:
-            from repro.obs import (
-                critical_path,
-                format_breakdown,
-                format_critical_path,
-                format_plan_cache,
-                plan_cache_stats,
-                read_chrome_trace,
-                stall_breakdown,
-            )
+            from repro.obs import (critical_path, format_breakdown,
+                                   format_critical_path, format_plan_cache,
+                                   plan_cache_stats, read_chrome_trace,
+                                   stall_breakdown)
             from repro.obs.analysis import track_gpu
 
             tracer = read_chrome_trace(args.trace)
@@ -723,154 +659,113 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train one system")
-    _add_workload_args(p)
-    p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
+    def command(name, help, func, *flags, defaults=None, system=False,
+                workers=None, output=True):
+        """A subcommand with its config ``flags``, optionally
+        ``--system``, ``--workers`` (one task per ``workers``) and the
+        JSON output flags."""
+        p = sub.add_parser(
+            name, help=help,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        _add_config_flags(p, flags, defaults)
+        if system:
+            p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
+        if workers:
+            p.add_argument("--workers", type=int, default=1,
+                           help=f"worker processes, one task per {workers} "
+                                "(1 = serial; results are bit-identical)")
+        if output:
+            p.add_argument("--json", action="store_true")
+            p.add_argument("--out", metavar="PATH",
+                           help="write the JSON to PATH instead of stdout")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("train", "train one system", cmd_train, *RUN_FLAGS,
+                system=True)
     p.add_argument("--epochs", type=int, default=3)
     p.add_argument("--cost-only", action="store_true",
                    help="skip numpy training, keep cost accounting")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("compare", help="compare systems on one workload")
-    _add_workload_args(p)
+    p = command("compare", "compare systems on one workload", cmd_compare,
+                *RUN_FLAGS, workers="system")
     p.add_argument("--systems", default="",
-                   help="comma-separated subset (default: all five)")
+                   help="comma-separated subset (empty: all five)")
     p.add_argument("--batches", type=int, default=6)
-    _add_workers_arg(p, "system")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_compare)
 
-    p = sub.add_parser(
-        "trace", help="traced epoch: Chrome trace + stall breakdown"
-    )
-    _add_workload_args(p)
-    p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
+    p = command("trace", "traced epoch: Chrome trace + stall breakdown",
+                cmd_trace, *RUN_FLAGS, system=True, output=False)
     p.add_argument("--batches", type=int, default=4,
-                   help="mini-batches to trace (default 4)")
+                   help="mini-batches to trace")
     p.add_argument("--out", metavar="PATH", default="trace.json",
-                   help="Chrome trace-event JSON path (default trace.json)")
+                   help="Chrome trace-event JSON path")
     p.add_argument("--text", metavar="PATH", default=None,
                    help="also write a plain-text timeline to PATH")
-    p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("info", help="datasets / systems / hardware model")
-    p.set_defaults(func=cmd_info)
+    command("info", "datasets / systems / hardware model", cmd_info,
+            output=False)
 
-    p = sub.add_parser("infer", help="train then full-graph inference")
-    _add_workload_args(p)
-    p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
+    p = command("infer", "train then full-graph inference", cmd_infer,
+                *RUN_FLAGS, system=True)
     p.add_argument("--epochs", type=int, default=3)
-    _add_output_args(p)
-    p.set_defaults(func=cmd_infer)
 
-    p = sub.add_parser(
-        "serve", help="online inference serving: QPS sweep + SLO knee"
-    )
-    _add_workload_args(p)
+    p = command("serve", "online inference serving: QPS sweep + SLO knee",
+                cmd_serve, *RUN_FLAGS, *SERVING_FLAGS, "--functional",
+                "--invariants", "--control-interval-ms", "--scale-min",
+                "--scale-max", "--target-qps-per-replica", "--num-replicas",
+                "--routing", defaults={**SERVING_DEFAULTS, "--scale-max": 1},
+                workers="sweep point")
     p.add_argument("--systems", default="DSP",
-                   help="comma-separated systems to sweep (default DSP)")
+                   help="comma-separated systems to sweep")
     p.add_argument("--qps", default="2000,8000,32000,128000",
                    help="comma-separated offered loads to sweep")
-    _add_serve_args(p, arrival="poisson")
     p.add_argument("--cache-warmup", type=int, default=0,
-                   help="seed the dynamic cache from the first N "
-                        "workload requests before the sweep (needs "
-                        "--dynamic-cache; default 0 = off)")
-    p.add_argument("--functional", action="store_true",
-                   help="run the real forward pass and report accuracy")
-    p.add_argument("--invariants", action="store_true",
-                   help="audit every point with the simulation "
-                        "invariant checker (report is unchanged; a "
-                        "broken simulation raises instead)")
+                   help="warm the dynamic cache from the first N requests")
     p.add_argument("--controller", action="store_true",
-                   help="close the loop: the SLO-burn AIMD tuner retunes "
-                        "batch-max / max-wait online (see docs/control.md)")
-    p.add_argument("--control-interval-ms", type=float, default=None,
-                   help="controller decision interval in ms "
-                        "(default: 4 SLO windows)")
+                   help="retune batch-max / max-wait online with the "
+                        "SLO-burn tuner (see docs/control.md)")
     p.add_argument("--tenants", type=int, default=0,
-                   help="split the workload across N synthetic tenants "
-                        "with priority classes and admission quotas "
-                        "(default 0 = off)")
-    p.add_argument("--scale-min", type=int, default=1,
-                   help="autoscaler floor replicas (with --scale-max > 1)")
-    p.add_argument("--scale-max", type=int, default=1,
-                   help="autoscale serving replicas up to this many "
-                        "(default 1 = no autoscaler)")
-    p.add_argument("--target-qps-per-replica", type=float, default=None,
-                   help="per-replica capacity the autoscaler sizes "
-                        "against (default: offered QPS / scale-max)")
-    p.add_argument("--num-replicas", type=int, default=1,
-                   help="serving replicas behind the cluster router "
-                        "(default 1 = plain serve_once path)")
-    p.add_argument("--routing", default="affinity",
-                   choices=["random", "least-loaded", "affinity"],
-                   help="request routing policy across replicas "
-                        "(default affinity; see docs/cluster.md)")
-    _add_workers_arg(p, "sweep point")
+                   help="split the workload across N tenants (0 = off)")
     p.add_argument("--trace-base", metavar="PATH", default=None,
                    help="write one Chrome trace per sweep point, named "
                         "PATH-<system>-qps<Q>.json")
     p.add_argument("--metrics", action="store_true",
-                   help="attach the windowed metrics registry to every "
-                        "sweep point: adds the SLO-minutes-violated "
-                        "column and a 'metrics' summary per point in "
-                        "the JSON (input for 'repro report')")
+                   help="windowed metrics per point: SLO minutes, and a "
+                        "'metrics' summary for 'repro report'")
     p.add_argument("--metrics-window-ms", type=float, default=None,
-                   help="metrics window width in ms (default: the SLO)")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_serve)
+                   help="metrics window width in ms (None = the SLO)")
 
-    p = sub.add_parser(
-        "chaos", help="fault-injection scenarios -> resilience report"
-    )
-    _add_workload_args(p)
+    p = command("chaos", "fault-injection scenarios -> resilience report",
+                cmd_chaos, *RUN_FLAGS, "--requests", "--control-interval-ms",
+                defaults={"--requests": 64}, workers="(system, scenario) cell")
     p.add_argument("--systems", default="DSP,DSP-Pull,DGL-UVA",
-                   help="comma-separated systems to stress "
-                        "(default DSP,DSP-Pull,DGL-UVA)")
+                   help="comma-separated systems to stress")
     p.add_argument("--scenarios", default="",
                    help="comma-separated scenario names "
-                        "(default: all; see docs/robustness.md)")
+                        "(empty: all; see docs/robustness.md)")
     p.add_argument("--batches", type=int, default=4,
-                   help="mini-batches per training scenario (default 4)")
-    p.add_argument("--requests", type=int, default=64,
-                   help="requests per serving scenario (default 64)")
+                   help="mini-batches per training scenario")
     p.add_argument("--qps", type=float, default=2000.0,
-                   help="offered load for serving scenarios (default 2000)")
-    _add_workers_arg(p, "(system, scenario) cell")
+                   help="offered load for serving scenarios")
     p.add_argument("--controller", action="store_true",
-                   help="run each serving scenario a third time with the "
-                        "SLO-burn controller closing the loop and report "
-                        "its SLO minutes next to the static pass")
-    p.add_argument("--control-interval-ms", type=float, default=None,
-                   help="controller decision interval in ms "
-                        "(default: 4 SLO windows)")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_chaos)
+                   help="serve each serving scenario a third time with "
+                        "the SLO-burn controller on")
 
-    p = sub.add_parser(
-        "control", help="controller-on vs static SLO-minutes matrix"
-    )
-    _add_workload_args(p)
-    p.add_argument("--system", default="DSP", choices=sorted(SYSTEMS))
+    p = command("control", "controller-on vs static SLO-minutes matrix",
+                cmd_control, *RUN_FLAGS, *SERVING_FLAGS,
+                "--control-interval-ms",
+                defaults={**SERVING_DEFAULTS, "--arrival": "diurnal"},
+                system=True, workers="cell")
     p.add_argument("--scenarios", default="",
-                   help="comma-separated chaos scenarios (default: the "
+                   help="comma-separated chaos scenarios (empty: the "
                         "seven core recipes; 'none' = fault-free)")
     p.add_argument("--qps", type=float, default=3000.0,
-                   help="offered load per cell (default 3000)")
-    _add_serve_args(p, arrival="diurnal")
-    p.add_argument("--control-interval-ms", type=float, default=None,
-                   help="controller decision interval in ms "
-                        "(default: 4 SLO windows)")
-    _add_workers_arg(p, "cell")
-    _add_output_args(p)
-    p.set_defaults(func=cmd_control)
+                   help="offered load per cell")
 
-    p = sub.add_parser(
-        "report", help="merge saved serve/chaos/trace artifacts into one "
-                       "self-contained HTML report"
-    )
+    p = command("report", "merge saved serve/chaos/trace artifacts into "
+                          "one self-contained HTML report", cmd_report,
+                output=False)
     p.add_argument("--serve", metavar="PATH", default=None,
                    help="JSON from 'repro serve --metrics --out' (or a "
                         "single serve report dict)")
@@ -879,10 +774,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", metavar="PATH", default=None,
                    help="Chrome trace from 'repro trace' or --trace-base")
     p.add_argument("--title", default="repro run report",
-                   help="report heading (default 'repro run report')")
+                   help="report heading")
     p.add_argument("--out", metavar="PATH", default="report.html",
-                   help="HTML output path (default report.html)")
-    p.set_defaults(func=cmd_report)
+                   help="HTML output path")
     return parser
 
 
@@ -891,8 +785,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as err:
-        return _fail(str(err))
+    except (ConfigError, CapacityError) as err:
+        # a value a config rejects, or the hardware cannot hold
+        return _fail(_restate(err, args))
 
 
 if __name__ == "__main__":  # pragma: no cover

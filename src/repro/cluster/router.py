@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, check_choices, count, one_of, positive
 from repro.utils.rng import make_rng
 
 ROUTING_POLICIES = ("random", "least-loaded", "affinity")
@@ -39,22 +39,16 @@ class RouterConfig:
     """Routing policy and replica count for one cluster serving run."""
 
     num_replicas: int = 1
-    policy: str = "affinity"
+    policy: str = one_of(ROUTING_POLICIES, "affinity")
     seed: int = 0
     #: trailing window (seconds of arrival time) of routed requests the
     #: least-loaded policy counts as still in flight
     window_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.num_replicas < 1:
-            raise ConfigError("need at least one replica")
-        if self.policy not in ROUTING_POLICIES:
-            raise ConfigError(
-                f"unknown routing policy {self.policy!r}; "
-                f"available: {list(ROUTING_POLICIES)}"
-            )
-        if self.window_s <= 0:
-            raise ConfigError("window_s must be positive")
+        check_choices(self)
+        count("num_replicas", self.num_replicas)
+        positive("window_s", self.window_s)
 
     def split(self, system, requests, qps, check_invariants=False):
         """Split a request stream for :func:`repro.serve.serve_once`.

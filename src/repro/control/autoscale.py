@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from repro.control.actions import ControlAction, actions_to_dicts
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, count, positive
 
 #: the control interval: the stream span cut into this many slices; a
 #: started replica warms for one interval before it becomes routable
@@ -65,13 +65,10 @@ class AutoscaleConfig:
     target_qps_per_replica: float | None = None
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ConfigError("min_replicas must be >= 1")
-        if self.max_replicas < self.min_replicas:
-            raise ConfigError("max_replicas must be >= min_replicas")
-        if (self.target_qps_per_replica is not None
-                and self.target_qps_per_replica <= 0):
-            raise ConfigError("target_qps_per_replica must be positive")
+        count("min_replicas", self.min_replicas)
+        count("max_replicas", self.max_replicas, self.min_replicas)
+        if self.target_qps_per_replica is not None:
+            positive("target_qps_per_replica", self.target_qps_per_replica)
 
     def split(self, system, requests, qps, check_invariants=False):
         """Split a request stream for :func:`repro.serve.serve_once`.

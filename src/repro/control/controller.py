@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 from repro.control.actions import ACTION_KINDS, ControlAction, actions_to_dicts
 from repro.metrics.slo import SLO_TARGET
-from repro.utils.errors import ConfigError
+from repro.utils.errors import count, positive
 
 #: default tick interval, in registry windows
 DEFAULT_INTERVAL_WINDOWS = 4
@@ -80,10 +80,9 @@ class ControllerConfig:
     max_pressure: int = 0
 
     def __post_init__(self) -> None:
-        if self.interval_s is not None and self.interval_s <= 0:
-            raise ConfigError("interval_s must be positive")
-        if self.max_pressure < 0:
-            raise ConfigError("max_pressure must be non-negative")
+        if self.interval_s is not None:
+            positive("interval_s", self.interval_s)
+        count("max_pressure", self.max_pressure, 0)
 
 
 class ServeController:

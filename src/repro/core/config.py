@@ -4,10 +4,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.utils.errors import ConfigError
+from repro.hw.network import NIC_PRESETS
+from repro.utils.errors import (
+    INF,
+    ConfigError,
+    check_choices,
+    count,
+    nested,
+    non_negative,
+    one_of,
+    positive,
+    require,
+)
 
 #: the paper's default sampling fan-out (§7.1)
 DEFAULT_FANOUT = (15, 10, 5)
+#: GNN architectures every system can train
+MODELS = ("sage", "gcn", "gat")
+#: cold-path feature codecs a run may choose
+COMPRESS = ("none", "fp16", "int8")
 
 
 @dataclass(frozen=True)
@@ -23,7 +38,7 @@ class RunConfig:
 
     dataset: str = "products"
     num_gpus: int = 8
-    model: str = "sage"  # "sage" | "gcn" | "gat"
+    model: str = one_of(MODELS, "sage")
     hidden_dim: int = 256  # the paper's hidden width (§7.1)
     batch_size: int = 32  # seeds per GPU per iteration
     fanout: tuple[int, ...] = DEFAULT_FANOUT
@@ -41,7 +56,7 @@ class RunConfig:
     hot_policy: str = "degree"
     #: graph partitioner for DSP's patches: "metis" (default), "ldg"
     #: (one-pass streaming) or "hash" (the locality-free control)
-    partitioner: str = "metis"
+    partitioner: str = one_of(("metis", "ldg", "hash"), "metis")
     #: inter-GPU communication library (paper §3.2): "nccl" works on any
     #: topology; "nvshmem" has lower launch overhead but needs a full
     #: NVLink mesh and is rejected on topologies without one
@@ -59,7 +74,7 @@ class RunConfig:
     #: cross-server NIC preset: "ethernet" (100 GbE) or "infiniband"
     #: (HDR); every system's cost engine prices network transfers on
     #: it, and single-server systems emit none
-    nic: str = "ethernet"
+    nic: str = one_of(tuple(NIC_PRESETS), "ethernet")
     #: access-frequency dynamic feature caching (DSP family only; see
     #: ``docs/caching.md``) — off by default, in which case the cache
     #: is the paper's static layout-time placement
@@ -73,46 +88,47 @@ class RunConfig:
     #: GNS-style cached-node sampling bias (0 = off, bit-identical to
     #: a sampler without the hook)
     cache_bias: float = 0.0
-    #: cold-path feature codec: "none" | "fp16" | "int8"
-    compress: str = "none"
+    #: cold-path feature codec
+    compress: str = one_of(COMPRESS, "none")
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_gpus < 1:
-            raise ConfigError("need at least one GPU")
-        if self.model not in ("sage", "gcn", "gat"):
-            raise ConfigError(f"unknown model {self.model!r}")
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-        if self.hidden_dim < 1:
-            raise ConfigError("hidden_dim must be positive")
-        if self.queue_capacity < 1:
-            raise ConfigError("queue_capacity must be positive")
-        if not self.fanout:
-            raise ConfigError("fanout must be non-empty")
-        if self.partitioner not in ("metis", "ldg", "hash"):
-            raise ConfigError(f"unknown partitioner {self.partitioner!r}")
-        if self.sampler_workers < 1 or self.loader_workers < 1:
-            raise ConfigError("worker counts must be positive")
-        if self.num_nodes < 1:
-            raise ConfigError("num_nodes must be positive")
-        if self.nic not in ("ethernet", "infiniband"):
-            raise ConfigError(f"unknown nic {self.nic!r}")
-        if self.cache_window < 1:
-            raise ConfigError("cache_window must be positive")
-        if not 0.0 < self.cache_ewma <= 1.0:
-            raise ConfigError("cache_ewma must be in (0, 1]")
-        if self.cache_prefetch < 0:
-            raise ConfigError("cache_prefetch must be non-negative")
-        if self.cache_bias < 0:
-            raise ConfigError("cache_bias must be non-negative")
-        if self.compress not in ("none", "fp16", "int8"):
-            raise ConfigError(f"unknown codec {self.compress!r}")
+        check_choices(self)
+        for name in ("num_gpus", "batch_size", "hidden_dim", "queue_capacity",
+                     "sampler_workers", "loader_workers", "num_nodes"):
+            count(name, getattr(self, name))
+        self.csp_config()  # the sampling knobs fail here
+        positive("lr", self.lr)
+        nested(self.dynamic_cache_config, {"window": "cache_window",
+                                           "ewma": "cache_ewma",
+                                           "prefetch_quota": "cache_prefetch"})
+        non_negative("cache_bias", self.cache_bias)
+        for name in ("feature_cache_bytes", "topology_cache_bytes"):
+            budget = getattr(self, name)
+            require(budget is None or 0 <= budget < INF, name,
+                    "a finite byte budget >= 0", budget)
         if self.num_nodes > 1 and self.comm_backend == "nvshmem":
             raise ConfigError(
                 "nvshmem needs a full NVLink mesh; multi-node clusters "
                 "have no cross-server NVLink — use comm_backend='nccl'"
             )
+
+    def csp_config(self):
+        """The :class:`~repro.sampling.csp.CSPConfig` the sampling knobs
+        describe."""
+        from repro.sampling.csp import CSPConfig
+
+        return CSPConfig(fanout=tuple(self.fanout), scheme=self.scheme,
+                         biased=self.biased, replace=self.replace)
+
+    def dynamic_cache_config(self):
+        """The :class:`~repro.cache.dynamic.DynamicCacheConfig` the
+        ``cache_*`` knobs describe."""
+        from repro.cache.dynamic import DynamicCacheConfig
+
+        return DynamicCacheConfig(window=self.cache_window,
+                                  ewma=self.cache_ewma,
+                                  prefetch_quota=self.cache_prefetch)
 
     @property
     def total_gpus(self) -> int:

@@ -26,7 +26,7 @@ from repro.graph.datasets import Dataset
 from repro.hw.devices import Cluster
 from repro.hw.memory import DeviceMemory
 from repro.sampling.local import GraphPatch
-from repro.utils.errors import CapacityError, ConfigError
+from repro.utils.errors import CapacityError, ConfigError, require
 
 #: fraction of GPU memory reserved for activations and scratch buffers
 WORKSPACE_FRACTION = 0.15
@@ -134,10 +134,9 @@ def plan_layout(
         fbudget = feature_cache_bytes
         if fbudget is None:
             fbudget = mem.free
-        if fbudget > mem.free:
-            raise CapacityError(
-                f"GPU {g}: feature cache budget exceeds free memory"
-            )
+        require(fbudget <= mem.free, "feature_cache_bytes",
+                f"a budget <= GPU {g}'s free memory ({mem.free:g} B)",
+                fbudget, CapacityError)
         nodes_fit = int(fbudget // row_bytes)
         if feature_budget_nodes is None or nodes_fit < feature_budget_nodes:
             feature_budget_nodes = nodes_fit

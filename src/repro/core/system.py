@@ -35,7 +35,7 @@ from repro.nn import (
     cross_entropy,
     gradient_nbytes,
 )
-from repro.sampling.csp import CollectiveSampler, CSPConfig
+from repro.sampling.csp import CollectiveSampler
 from repro.sampling.frontier import MiniBatchSample
 from repro.sampling.ops import AllReduce, LocalKernel, OpTrace, UVAGather
 from repro.utils.errors import ConfigError
@@ -93,12 +93,7 @@ class TrainingSystem:
         self.engine = self._make_engine()
         #: GPUs this system trains on: the whole simulated hardware
         self.k = self.cluster.num_gpus
-        self.csp_config = CSPConfig(
-            fanout=tuple(config.fanout),
-            scheme=config.scheme,
-            biased=config.biased,
-            replace=config.replace,
-        )
+        self.csp_config = config.csp_config()
         self._rng = make_rng(config.seed)
         #: set once :meth:`warm_cache` has seeded the dynamic policy
         self._warm_applied = False
@@ -501,16 +496,10 @@ class DSP(TrainingSystem):
         )
         dynamic = None
         if cfg.dynamic_cache:
-            from repro.cache.dynamic import DynamicCacheConfig, DynamicCachePolicy
+            from repro.cache.dynamic import DynamicCachePolicy
 
-            dynamic = DynamicCachePolicy(
-                self.layout.store,
-                DynamicCacheConfig(
-                    window=cfg.cache_window,
-                    ewma=cfg.cache_ewma,
-                    prefetch_quota=cfg.cache_prefetch,
-                ),
-            )
+            dynamic = DynamicCachePolicy(self.layout.store,
+                                         cfg.dynamic_cache_config())
         codec = None if cfg.compress == "none" else cfg.compress
         self.loader = FeatureLoader(
             self.data.features, self.layout.store, codec=codec,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.modules import Parameter
-from repro.utils.errors import ReproError
+from repro.utils.errors import ReproError, positive
 
 
 class SGD:
@@ -13,8 +13,7 @@ class SGD:
 
     def __init__(self, params: list[Parameter], lr: float,
                  momentum: float = 0.0, weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ReproError("lr must be positive")
+        positive("lr", lr)
         if not 0.0 <= momentum < 1.0:
             raise ReproError("momentum must be in [0, 1)")
         self.params = list(params)
@@ -47,8 +46,7 @@ class Adam:
     def __init__(self, params: list[Parameter], lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 0.0):
-        if lr <= 0:
-            raise ReproError("lr must be positive")
+        positive("lr", lr)
         b1, b2 = betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise ReproError("betas must be in [0, 1)")

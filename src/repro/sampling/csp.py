@@ -42,7 +42,7 @@ import numpy as np
 from repro.sampling.frontier import Block, MiniBatchSample, next_frontier
 from repro.sampling.local import GraphPatch, _ranges, sample_neighbors
 from repro.sampling.ops import AllToAll, LocalKernel, OpTrace
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, check_choices, one_of, require
 from repro.utils.rng import make_rng, spawn_rngs
 
 #: wire bytes per node id / per count / per weight entry
@@ -58,15 +58,14 @@ class CSPConfig:
     """
 
     fanout: tuple[int, ...]
-    scheme: str = "node"  # "node" or "layer"
+    scheme: str = one_of(("node", "layer"), "node")
     biased: bool = False
     replace: bool = True
 
     def __post_init__(self) -> None:
-        if self.scheme not in ("node", "layer"):
-            raise ConfigError(f"unknown scheme {self.scheme!r}")
-        if not self.fanout or any(f < 0 for f in self.fanout):
-            raise ConfigError("fanout must be non-empty and non-negative")
+        check_choices(self)
+        require(len(self.fanout) > 0 and min(self.fanout) >= 0, "fanout",
+                "at least one layer, each fan-out >= 0", self.fanout)
 
     @property
     def num_layers(self) -> int:

@@ -15,78 +15,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graph.csr import CSRGraph
-from repro.sampling.csp import CSPConfig, CSPStats, ID_BYTES
-from repro.sampling.frontier import Block, MiniBatchSample, next_frontier
-from repro.sampling.local import GraphPatch, sample_neighbors
-from repro.sampling.ops import LocalKernel, OpTrace, UVAGather
-from repro.utils.errors import ConfigError
-from repro.utils.rng import make_rng, spawn_rngs
+from repro.sampling.cpu import HostGraphSampler
+from repro.sampling.csp import ID_BYTES
+from repro.sampling.ops import LocalKernel, UVAGather
 
 
-class UVASampler:
+class UVASampler(HostGraphSampler):
     """Independent per-GPU sampling over UVA (topology in CPU memory)."""
 
-    def __init__(self, graph: CSRGraph, num_gpus: int, seed: int = 0):
-        if num_gpus <= 0:
-            raise ConfigError("need at least one GPU")
-        self.patch = GraphPatch.full(graph)
-        self.num_gpus = num_gpus
-        self.rngs = spawn_rngs(make_rng(seed), num_gpus)
+    baseline = "UVA"
 
-    def sample(
-        self,
-        seeds_per_gpu: list[np.ndarray],
-        config: CSPConfig,
-    ) -> tuple[list[MiniBatchSample], OpTrace, CSPStats]:
-        """Sample one mini-batch; every adjacency access goes over UVA."""
-        if len(seeds_per_gpu) != self.num_gpus:
-            raise ConfigError("need one seed array per GPU")
-        if config.scheme != "node":
-            raise ConfigError("the UVA baseline implements node-wise sampling")
-        trace = OpTrace()
-        k = self.num_gpus
-        seeds = [np.asarray(s, dtype=np.int64) for s in seeds_per_gpu]
-
-        frontiers = list(seeds)
-        blocks_per_gpu: list[list[Block]] = [[] for _ in range(k)]
-        tasks_total = sampled_total = 0
-        for layer, fanout in enumerate(config.fanout):
-            items = np.zeros(k, dtype=np.float64)
-            work = np.zeros(k, dtype=np.float64)
-            for g in range(k):
-                frontier = frontiers[g]
-                src, counts = sample_neighbors(
-                    self.patch,
-                    frontier,
-                    fanout,
-                    rng=self.rngs[g],
-                    replace=config.replace,
-                    biased=config.biased,
+    def _layer_ops(self, trace, layer, frontiers, drawn, biased):
+        indptr = self.patch.indptr
+        items = np.zeros(len(frontiers), dtype=np.float64)
+        for g, frontier in enumerate(frontiers):
+            if biased:
+                # must read full adjacency + weight lists to bias
+                deg_total = float(
+                    (indptr[frontier + 1] - indptr[frontier]).sum()
                 )
-                offsets = np.concatenate([[0], np.cumsum(counts)])
-                block = Block(frontier, src, offsets)
-                blocks_per_gpu[g].append(block)
-                tasks_total += len(frontier)
-                sampled_total += len(src)
-                work[g] = float(len(src))
-                if config.biased:
-                    # must read full adjacency + weight lists to bias
-                    deg_total = float(
-                        (self.patch.indptr[frontier + 1]
-                         - self.patch.indptr[frontier]).sum()
-                    )
-                    items[g] = 2 * deg_total + 2 * len(frontier)
-                else:
-                    # indptr bounds + the sampled entries only
-                    items[g] = float(len(src)) + 2 * len(frontier)
-            trace.add(UVAGather(items, item_bytes=ID_BYTES, label=f"uva-L{layer}"))
-            trace.add(LocalKernel("sample", work, label=f"sample-L{layer}"))
-            frontiers = [next_frontier(blocks_per_gpu[g][-1]) for g in range(k)]
-
-        samples = [
-            MiniBatchSample(seeds=seeds[g], blocks=tuple(blocks_per_gpu[g]))
-            for g in range(k)
-        ]
-        # every adjacency access is remote for UVA: zero locality
-        return samples, trace, CSPStats(tasks_total, sampled_total, 0)
+                items[g] = 2 * deg_total + 2 * len(frontier)
+            else:
+                # indptr bounds + the sampled entries only
+                items[g] = drawn[g] + 2 * len(frontier)
+        trace.add(UVAGather(items, item_bytes=ID_BYTES, label=f"uva-L{layer}"))
+        trace.add(LocalKernel("sample", drawn, label=f"sample-L{layer}"))

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 from repro.engine.simulator import Process, Simulator
 from repro.serve.workload import Request
-from repro.utils.errors import ConfigError, ReproError
+from repro.utils.errors import ReproError, count, non_negative
 
 #: admission shed reasons, in check order
 SHED_REASONS = ("priority", "quota", "capacity")
@@ -61,12 +61,9 @@ class BatcherConfig:
     queue_capacity: int = 64
 
     def __post_init__(self) -> None:
-        if self.batch_max < 1:
-            raise ConfigError("batch_max must be positive")
-        if self.timeout_s < 0:
-            raise ConfigError("timeout_s must be non-negative")
-        if self.queue_capacity < 1:
-            raise ConfigError("queue_capacity must be positive")
+        count("batch_max", self.batch_max)
+        non_negative("timeout_s", self.timeout_s)
+        count("queue_capacity", self.queue_capacity)
 
 
 class AdmissionBatcher:
@@ -140,16 +137,13 @@ class AdmissionBatcher:
         timer against the new deadline) after every change.
         """
         if batch_max is not None:
-            if batch_max < 1:
-                raise ConfigError("batch_max must be positive")
+            count("batch_max", batch_max)
             self.batch_max = int(batch_max)
         if timeout_s is not None:
-            if timeout_s < 0:
-                raise ConfigError("timeout_s must be non-negative")
+            non_negative("timeout_s", timeout_s)
             self.timeout_s = float(timeout_s)
         if pressure is not None:
-            if pressure < 0:
-                raise ConfigError("pressure must be non-negative")
+            count("pressure", pressure, 0)
             self.pressure = int(pressure)
         self._service()
 

@@ -47,7 +47,7 @@ from repro.serve.batcher import AdmissionBatcher, BatcherConfig
 from repro.serve.degrade import degraded_loader
 from repro.serve.stats import RequestRecord, ServeReport, build_report
 from repro.serve.workload import Request
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, count, nested, positive
 
 #: serving pipeline stages in dependency order
 SERVE_STAGES = ("sample", "load", "compute")
@@ -80,13 +80,11 @@ class ServeConfig:
     tenancy: object | None = None
 
     def __post_init__(self) -> None:
-        if self.slo_s <= 0:
-            raise ConfigError("slo_s must be positive")
-        if self.pipeline_depth < 1:
-            raise ConfigError("pipeline_depth must be positive")
-        if self.comm_channels < 1:
-            raise ConfigError("comm_channels must be positive")
-        self.batcher()  # batcher knobs fail here, not inside a worker
+        positive("slo_s", self.slo_s)
+        count("pipeline_depth", self.pipeline_depth)
+        count("comm_channels", self.comm_channels)
+        # batcher knobs fail here, not inside a worker
+        nested(self.batcher, {"timeout_s": "batch_timeout_s"})
 
     def batcher(self) -> BatcherConfig:
         return BatcherConfig(

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.errors import ConfigError
+from repro.utils.errors import INF, ConfigError, check_choices, count, one_of, require
 from repro.utils.rng import make_rng
 
 
@@ -57,6 +57,8 @@ class Request:
     priority: int = 0
 
 
+#: arrival processes a workload may use (see the module docstring)
+ARRIVALS = ("poisson", "bursty", "diurnal")
 #: bursty/diurnal: modulation period in *mean inter-arrivals* (scaled
 #: by QPS along with everything else)
 PERIOD = 64.0
@@ -67,7 +69,7 @@ class WorkloadConfig:
     """Shape of an open-loop request stream."""
 
     num_requests: int = 512
-    arrival: str = "poisson"  # "poisson" | "bursty" | "diurnal"
+    arrival: str = one_of(ARRIVALS, "poisson")
     #: Zipf exponent of seed-node popularity (0 = uniform)
     skew: float = 0.8
     #: bursty: rate multiplier inside a burst window
@@ -82,25 +84,21 @@ class WorkloadConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_requests < 1:
-            raise ConfigError("num_requests must be positive")
-        if self.arrival not in ("poisson", "bursty", "diurnal"):
-            raise ConfigError(f"unknown arrival process {self.arrival!r}")
-        if self.skew < 0:
-            raise ConfigError("skew must be non-negative")
-        if not 0.0 <= self.amplitude < 1.0:
-            raise ConfigError("amplitude must be in [0, 1)")
-        if self.burst_factor < 1.0:
-            raise ConfigError("burst_factor must be >= 1")
-        if not 0.0 < self.burst_fraction < 1.0:
-            raise ConfigError("burst_fraction must be in (0, 1)")
+        check_choices(self)
+        count("num_requests", self.num_requests)
+        require(0 <= self.skew < INF, "skew", "an exponent >= 0", self.skew)
+        require(0 <= self.amplitude < 1, "amplitude", "a value in [0, 1)",
+                self.amplitude)
+        require(self.burst_factor >= 1, "burst_factor", "a factor >= 1",
+                self.burst_factor)
+        require(0 < self.burst_fraction < 1, "burst_fraction",
+                "a fraction in (0, 1)", self.burst_fraction)
         if self.burst_factor * self.burst_fraction >= 1.0:
             raise ConfigError(
                 "burst_factor * burst_fraction must stay below 1 so the "
                 "off-burst rate is positive"
             )
-        if self.drift_phases < 1:
-            raise ConfigError("drift_phases must be >= 1")
+        count("drift_phases", self.drift_phases)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,13 @@
 """Tests for the UVA / CPU / Pull-Data sampler baselines."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.graph import dcsbm_graph, metis_partition, renumber_by_partition
+from repro.graph.datasets import load_dataset
 from repro.sampling import (
     CollectiveSampler,
     CPUSampler,
@@ -143,3 +147,48 @@ class TestPullDataSampler:
         _, _, s_pull = pull.sample(seeds, CFG)
         assert s_push.tasks_total == s_pull.tasks_total
         assert s_push.local_tasks == s_pull.local_tasks
+
+
+#: sha256 of the CPU and UVA samplers' blocks, op traces and stats on
+#: ``tiny`` for k in {1, 2, 4} x unbiased/biased, three mini-batches
+#: each; pins the per-GPU draws and the ops each layer emits
+HOST_SAMPLERS_SHA256 = (
+    "32bee18074efe41c1374ab95d61382147e03ec96aeef94fa32459953ee73a46e"
+)
+
+
+def _host_samplers_digest() -> str:
+    graph = load_dataset("tiny").graph
+    h = hashlib.sha256()
+    for cls in (CPUSampler, UVASampler):
+        for k in (1, 2, 4):
+            for biased in (False, True):
+                g = graph
+                if biased:
+                    g = g.with_node_weights(
+                        np.random.default_rng(1).random(g.num_nodes)
+                        .astype(np.float32)
+                    )
+                sampler = cls(g, k, seed=5)
+                cfg = CSPConfig(fanout=(6, 4), biased=biased)
+                rng = np.random.default_rng(9)
+                for _ in range(3):
+                    seeds = [rng.choice(g.num_nodes, size=12, replace=False)
+                             for _ in range(k)]
+                    samples, trace, stats = sampler.sample(seeds, cfg)
+                    for s in samples:
+                        for b in s.blocks:
+                            for a in (b.dst_nodes, b.src_nodes, b.offsets):
+                                h.update(a.tobytes())
+                    for op in trace:
+                        h.update(type(op).__name__.encode())
+                        for f in dataclasses.fields(op):
+                            v = getattr(op, f.name)
+                            h.update(v.tobytes() if isinstance(v, np.ndarray)
+                                     else repr(v).encode())
+                    h.update(repr(stats).encode())
+    return h.hexdigest()
+
+
+def test_host_samplers_pinned():
+    assert _host_samplers_digest() == HOST_SAMPLERS_SHA256

@@ -1,12 +1,17 @@
 """Tests for the command-line interface."""
 
 import argparse
+import dataclasses
+import functools
 import json
+import math
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.cli import build_parser, main
+from repro.cli import build_configs, build_parser, main
+from repro.utils import ConfigError
 
 
 ARGS = ["--dataset", "tiny", "--gpus", "2", "--hidden", "16",
@@ -215,12 +220,53 @@ class TestCLI:
         ("control", ["--skew", "-1"], "--skew expects an exponent >= 0, got -1"),
         ("control", ["--drift-phases", "0"], "--drift-phases expects a count >= 1, got 0"),
         ("trace", ["--batches", "0"], "--batches expects a count >= 1, got 0"),
+        ("serve", ["--batch-timeout-ms", "nan"],
+         "--batch-timeout-ms expects a finite value >= 0, got nan"),
+        ("serve", ["--controller", "--control-interval-ms", "nan"],
+         "--control-interval-ms expects a positive finite value, got nan"),
+        ("control", ["--scenarios", "none", "--slo-ms", "nan"],
+         "--slo-ms expects a positive finite value, got nan"),
+        ("train", ["--cache-bytes", "nan"],
+         "--cache-bytes expects a finite byte budget >= 0, got nan"),
+        ("serve", ["--slo-ms", "nan"],
+         "--slo-ms expects a positive finite value, got nan"),
+        ("train", ["--lr", "nan"], "--lr expects a positive finite value, got nan"),
+        ("train", ["--dynamic-cache", "--cache-bias", "nan"],
+         "--cache-bias expects a finite value >= 0, got nan"),
+        ("serve", ["--scale-max", "2", "--target-qps-per-replica", "nan"],
+         "--target-qps-per-replica expects a positive finite value, got nan"),
+        ("serve", ["--slo-ms", "inf"],
+         "--slo-ms expects a positive finite value, got inf"),
+        ("serve", ["--batch-timeout-ms", "inf"],
+         "--batch-timeout-ms expects a finite value >= 0, got inf"),
+        ("train", ["--hidden", "0"], "--hidden expects a count >= 1, got 0"),
+        ("train", ["--cache-window", "0"],
+         "--cache-window expects a count >= 1, got 0"),
+        ("serve", ["--slo-ms", "0"],
+         "--slo-ms expects a positive finite value, got 0"),
+        ("serve", ["--controller", "--control-interval-ms", "0"],
+         "--control-interval-ms expects a positive finite value, got 0"),
+        ("serve", ["--scale-max", "2", "--scale-min", "0"],
+         "--scale-min expects a count >= 1, got 0"),
+        ("train", ["--cache-bytes", "1e15"],
+         "--cache-bytes expects a budget <= GPU 0's free memory "
+         "(1.46028e+10 B), got 1e+15"),
+        ("train", ["--cache-bytes", "inf"],
+         "--cache-bytes expects a finite byte budget >= 0, got inf"),
     ], ids=["compare-zero-batches", "compare-zero-workers",
             "chaos-zero-batches", "chaos-zero-requests", "chaos-inf-qps",
             "chaos-zero-workers", "control-negative-qps",
             "control-unknown-scenario", "control-negative-workers",
             "control-zero-requests", "control-negative-skew",
-            "control-zero-drift-phases", "trace-zero-batches"])
+            "control-zero-drift-phases", "trace-zero-batches",
+            "serve-nan-batch-timeout", "serve-nan-control-interval",
+            "control-nan-slo", "train-nan-cache-bytes", "serve-nan-slo",
+            "train-nan-lr", "train-nan-cache-bias",
+            "serve-nan-target-qps-per-replica", "serve-inf-slo",
+            "serve-inf-batch-timeout", "train-zero-hidden",
+            "train-zero-cache-window", "serve-zero-slo",
+            "serve-zero-control-interval", "serve-zero-scale-min",
+            "train-over-budget-cache-bytes", "train-inf-cache-bytes"])
     def test_fan_out_bad_input_is_one_line_error(self, capsys, command, bad,
                                                  needle):
         """Rejected before any task reaches ``run_tasks``, so the error
@@ -265,3 +311,58 @@ class TestCLI:
     def test_parser_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+
+#: the commands whose flags build configs, fuzzed below
+FUZZ_COMMANDS = ("train", "compare", "serve", "chaos", "control")
+_INTS = st.integers(-3, 4)
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 0.5, 5.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser():
+    return build_parser()
+
+
+def _fuzz_space(command):
+    """``({numeric flag: type}, [switch flags])`` of ``command``."""
+    sub = next(a for a in _parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    numeric = {a.option_strings[0]: a.type for a in actions
+               if a.type in (int, float)}
+    switches = [a.option_strings[0] for a in actions
+                if isinstance(a, argparse._StoreTrueAction)
+                and a.dest != "json"]
+    return numeric, switches
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_flags_fuzzed_end_in_config_error_or_finite_configs(command,
+                                                                   data):
+    """Random flag values (ints <= 0, NaN, +-inf, negatives; with
+    --num-nodes, --controller, --scale-max and --num-replicas in the
+    space) either fail with a ConfigError in the CLI's config-building
+    step, or build configs whose float fields are all finite."""
+    numeric, switches = _fuzz_space(command)
+    argv = [command, *ARGS]
+    for flag in data.draw(st.lists(st.sampled_from(sorted(numeric)),
+                                   max_size=3, unique=True)):
+        value = data.draw(_INTS if numeric[flag] is int else _FLOATS)
+        argv.append(f"{flag}={value!r}")
+    argv += data.draw(st.lists(st.sampled_from(switches), unique=True))
+    args = _parser().parse_args(argv)
+    try:
+        configs = build_configs(args)
+    except ConfigError:
+        return
+    for cfg in configs.values():
+        for f in dataclasses.fields(cfg):
+            value = getattr(cfg, f.name)
+            if isinstance(value, float):
+                assert math.isfinite(value), (argv, f.name)
