@@ -22,8 +22,8 @@ from repro.core.metrics import metrics_dict as _metrics_dict, scrub_nan
 from repro.graph import DATASET_SPECS
 from repro.serve import ServeConfig, WorkloadConfig
 from repro.utils import fmt_bytes, fmt_time
-from repro.utils.errors import (INF, CapacityError, ConfigError, count,
-                                positive, require, show)
+from repro.utils.errors import (INF, CapacityError, ConfigError,
+                                WorkerError, count, positive, require, show)
 
 
 class Flag(NamedTuple):
@@ -788,6 +788,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, CapacityError) as err:
         # a value a config rejects, or the hardware cannot hold
         return _fail(_restate(err, args))
+    except WorkerError as err:
+        # the same, met inside a fan-out task (compare, chaos)
+        if not isinstance(err.__cause__, (ConfigError, CapacityError)):
+            raise
+        return _fail(_restate(err.__cause__, args))
 
 
 if __name__ == "__main__":  # pragma: no cover

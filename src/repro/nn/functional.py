@@ -3,7 +3,9 @@
 Includes the segment (scatter/gather) primitives that graph neural
 network layers are made of: a block's edges are flattened into parallel
 ``src index`` / ``dst segment`` arrays, and aggregation becomes a
-segment reduction — the same structure the CUDA kernels use.
+segment reduction — the same structure the CUDA kernels use.  Mean
+aggregation is one fused sparse-dense product per pass
+(:func:`gather_mean`, DGL's g-SpMM).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
 
     def backward(g):
-        x._accumulate(g * mask)
+        x._accumulate(g * mask, owned=True)
 
     return Tensor._make(x.data * mask, (x,), backward)
 
@@ -31,7 +33,7 @@ def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
     factor = np.where(x.data > 0, 1.0, slope).astype(np.float32)
 
     def backward(g):
-        x._accumulate(g * factor)
+        x._accumulate(g * factor, owned=True)
 
     return Tensor._make(x.data * factor, (x,), backward)
 
@@ -48,7 +50,7 @@ def dropout(
     keep = keep.astype(np.float32)
 
     def backward(g):
-        x._accumulate(g * keep)
+        x._accumulate(g * keep, owned=True)
 
     return Tensor._make(x.data * keep, (x,), backward)
 
@@ -65,29 +67,43 @@ def concat(tensors: list[Tensor], axis: int = 1) -> Tensor:
     return Tensor._make(out, tuple(tensors), backward)
 
 
-def _scatter_add_rows(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
-    """``out[idx[i]] += x[i]`` into ``num_rows`` zero float32 rows.
+def _csr_ones(rows: np.ndarray, cols: np.ndarray | None,
+              shape: tuple[int, int]) -> sp.csr_matrix:
+    """A ``shape`` CSR matrix with a 1.0 at ``(rows[i], cols[i])`` for
+    every ``i`` (``cols=None`` means ``cols[i] = i``); repeated
+    coordinates stay separate entries.
 
-    Computed as one CSR product ``S @ x`` with ``S[r, i] = 1`` wherever
-    ``idx[i] == r``.  scipy's csr x dense kernel sums each output row
-    from 0.0 in column order, and a stable sort of ``idx`` keeps every
-    row's columns in ascending ``i`` — exactly ``np.add.at``'s
-    sequential order, so the result is bit-identical to it without its
-    per-index overhead.  (``np.add.reduceat`` is not sequential along
-    axis 0 and does not match.)
+    A stable sort of ``rows``, skipped when they are already sorted,
+    stores every row's entries in ascending ``i``.  scipy's csr x dense
+    kernel sums each output row from 0.0 in storage order, and
+    multiplying by 1.0 is exact, so row ``r`` of ``M @ x`` adds the rows
+    ``x[cols[i]]`` with ``rows[i] == r`` one after another in ascending
+    ``i`` -- exactly ``np.add.at``'s sequential order, bit for bit,
+    without its per-index overhead.  (``np.add.reduceat`` is not
+    sequential along axis 0 and does not match.)
     """
+    for ids, size in ((rows, shape[0]), (cols, shape[1])):
+        if ids is not None and len(ids) and (ids.min() < 0 or ids.max() >= size):
+            raise ReproError(f"index out of range [0, {size})")
+    n = len(rows)
+    if n > 1 and np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        cols = order if cols is None else cols[order]
+    elif cols is None:
+        cols = np.arange(n)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    return sp.csr_matrix((np.ones(n, dtype=np.float32), cols, indptr),
+                         shape=shape)
+
+
+def _scatter_add_rows(x: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """``out[idx[i]] += x[i]`` into ``num_rows`` zero float32 rows, as
+    one CSR product bit-identical to ``np.add.at`` (see
+    :func:`_csr_ones`)."""
     x = np.asarray(x, dtype=np.float32)
     n = len(idx)
-    if n and (idx.min() < 0 or idx.max() >= num_rows):
-        raise ReproError(f"segment id out of range [0, {num_rows})")
-    if n > 1 and np.any(idx[1:] < idx[:-1]):
-        order = np.argsort(idx, kind="stable")
-    else:
-        order = np.arange(n)
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(idx, minlength=num_rows), out=indptr[1:])
-    s = sp.csr_matrix((np.ones(n, dtype=np.float32), order, indptr),
-                      shape=(num_rows, n))
+    s = _csr_ones(idx, None, (num_rows, n))
     out = s @ x.reshape(n, math.prod(x.shape[1:]))
     return out.reshape((num_rows,) + x.shape[1:])
 
@@ -97,7 +113,7 @@ def gather_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     idx = np.asarray(idx, dtype=np.int64)
 
     def backward(g):
-        x._accumulate(_scatter_add_rows(g, idx, x.shape[0]))
+        x._accumulate(_scatter_add_rows(g, idx, x.shape[0]), owned=True)
 
     return Tensor._make(x.data[idx], (x,), backward)
 
@@ -110,7 +126,7 @@ def segment_sum(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     out = _scatter_add_rows(x.data, seg, num_segments)
 
     def backward(g):
-        x._accumulate(g[seg])
+        x._accumulate(g[seg], owned=True)
 
     return Tensor._make(out, (x,), backward)
 
@@ -126,9 +142,41 @@ def segment_mean(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     out /= denom
 
     def backward(g):
-        x._accumulate((g / denom)[seg])
+        x._accumulate((g / denom)[seg], owned=True)
 
     return Tensor._make(out, (x,), backward)
+
+
+def gather_mean(h: Tensor, src_idx: np.ndarray, seg: np.ndarray,
+                num_dst: int) -> Tensor:
+    """Mean of the rows ``h[src_idx[i]]`` per segment ``seg[i]``:
+    ``segment_mean(gather_rows(h, src_idx), seg, num_dst)`` fused into
+    one sparse-dense product per pass, without the E x D message tensor
+    (DGL's g-SpMM).  Empty segments yield zero rows.
+
+    Forward is ``A @ h / deg`` with ``A`` the num_dst x len(h) CSR of
+    ones at ``(seg[i], src_idx[i])``, each row's edges in ascending edge
+    order; backward is ``Aᵀ @ (g / deg)``, ``Aᵀ`` built with a stable
+    sort of ``src_idx``.  Each output row therefore adds the same terms
+    in the same order as the unfused ops (see :func:`_csr_ones`), so
+    outputs and gradients are bit-identical to theirs.
+    """
+    src_idx = np.asarray(src_idx, dtype=np.int64)
+    seg = np.asarray(seg, dtype=np.int64)
+    if len(seg) != len(src_idx):
+        raise ReproError("need one segment id per gathered row")
+    num_src, width = h.shape[0], math.prod(h.shape[1:])
+    a = _csr_ones(seg, src_idx, (num_dst, num_src))
+    deg = np.maximum(np.diff(a.indptr), 1).astype(np.float32).reshape(-1, 1)
+    out = a @ h.data.reshape(num_src, width)
+    out /= deg
+
+    def backward(g):
+        a_t = _csr_ones(src_idx, seg, (num_src, num_dst))
+        grad = a_t @ (g.reshape(num_dst, width) / deg)
+        h._accumulate(grad.reshape(h.shape), owned=True)
+
+    return Tensor._make(out.reshape((num_dst,) + h.shape[1:]), (h,), backward)
 
 
 def segment_max(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
@@ -161,7 +209,7 @@ def segment_max(x: Tensor, seg: np.ndarray, num_segments: int) -> Tensor:
     def backward(g):
         grad = np.zeros_like(x.data).reshape(len(seg), -1)
         grad[win_rows, win_cols] += g.reshape(num_segments, -1)[win_seg, win_cols]
-        x._accumulate(grad.reshape(x.shape))
+        x._accumulate(grad.reshape(x.shape), owned=True)
 
     return Tensor._make(out, (x,), backward)
 
@@ -178,15 +226,12 @@ def segment_softmax(scores: Tensor, seg: np.ndarray, num_segments: int) -> Tenso
     np.maximum.at(seg_max, seg, scores.data)
     shifted = scores.data - seg_max[seg]
     e = np.exp(shifted)
-    denom = np.zeros(num_segments, dtype=np.float32)
-    np.add.at(denom, seg, e)
-    out = e / denom[seg]
+    out = e / _scatter_add_rows(e, seg, num_segments)[seg]
 
     def backward(g):
         # d softmax: out * (g - sum_seg(g * out))
-        dot = np.zeros(num_segments, dtype=np.float32)
-        np.add.at(dot, seg, g * out)
-        scores._accumulate(out * (g - dot[seg]))
+        dot = _scatter_add_rows(g * out, seg, num_segments)
+        scores._accumulate(out * (g - dot[seg]), owned=True)
 
     return Tensor._make(out, (scores,), backward)
 
@@ -200,6 +245,6 @@ def log_softmax(x: Tensor) -> Tensor:
 
     def backward(g):
         soft = np.exp(out)
-        x._accumulate(g - soft * g.sum(axis=1, keepdims=True))
+        x._accumulate(g - soft * g.sum(axis=1, keepdims=True), owned=True)
 
     return Tensor._make(out, (x,), backward)

@@ -48,12 +48,11 @@ class SAGEConv(Module):
     def __call__(self, block: Block, h: Tensor) -> Tensor:
         dst_idx, src_idx, seg = block.local_index
         h_dst = F.gather_rows(h, dst_idx)
-        h_src = F.gather_rows(h, src_idx)
         if self.aggregator == "pool":
-            h_src = F.relu(self.fc_pool(h_src))
+            h_src = F.relu(self.fc_pool(F.gather_rows(h, src_idx)))
             h_agg = F.segment_max(h_src, seg, block.num_dst)
         else:
-            h_agg = F.segment_mean(h_src, seg, block.num_dst)
+            h_agg = F.gather_mean(h, src_idx, seg, block.num_dst)
         return self.fc(F.concat([h_dst, h_agg]))
 
     @property
@@ -76,8 +75,7 @@ class GCNConv(Module):
         # append one self edge per dst: mean over N(v) union {v}
         all_idx = np.concatenate([src_idx, dst_idx])
         all_seg = np.concatenate([seg, np.arange(block.num_dst)])
-        h_agg = F.segment_mean(F.gather_rows(h, all_idx), all_seg, block.num_dst)
-        return self.fc(h_agg)
+        return self.fc(F.gather_mean(h, all_idx, all_seg, block.num_dst))
 
     @property
     def flops_per_dst(self) -> float:

@@ -25,7 +25,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     def backward(g):
         grad = np.zeros_like(logp.data)
         grad[rows, labels] = -g / n
-        logp._accumulate(grad)
+        logp._accumulate(grad, owned=True)
 
     picked = Tensor._make(-picked_data.mean(), (logp,), backward)
     return picked

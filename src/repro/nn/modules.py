@@ -77,10 +77,22 @@ class Linear(Module):
         self.in_dim, self.out_dim = in_dim, out_dim
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x @ self.weight
-        if self.bias is not None:
-            out = out + self.bias
-        return out
+        """``x @ W + b`` as one autograd node: no separate bias node, no
+        N x out temporary for the sum and no copy of its gradient."""
+        w, b = self.weight, self.bias
+        out = x.data @ w.data
+        if b is not None:
+            out += b.data
+
+        def backward(g):
+            # an input that takes no gradient (layer 0) skips its GEMM
+            if x.requires_grad:
+                x._accumulate(g @ w.data.T, owned=True)
+            w._accumulate(x.data.T @ g, owned=True)
+            if b is not None:
+                b._accumulate(g.sum(axis=0), owned=True)
+
+        return Tensor._make(out, (x, w) if b is None else (x, w, b), backward)
 
     @property
     def flops_per_row(self) -> float:

@@ -80,11 +80,19 @@ class Tensor:
             _backward=backward if requires else None,
         )
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add ``grad`` into :attr:`grad`.
+
+        ``owned`` says the caller made ``grad`` for this call alone (a
+        fresh GEMM, CSR or elementwise result), so a first gradient is
+        stored without a copy.  Views and arrays handed to more than one
+        parent are copied, or a later ``+=`` into one gradient would
+        change another.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = grad.astype(np.float32, copy=True)
+            self.grad = grad.astype(np.float32, copy=not owned)
         else:
             self.grad += grad
 
@@ -142,7 +150,7 @@ class Tensor:
 
         def backward(g):
             self._accumulate(_unbroadcast(g, self.shape))
-            other._accumulate(-_unbroadcast(g, other.shape))
+            other._accumulate(-_unbroadcast(g, other.shape), owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -151,15 +159,17 @@ class Tensor:
             scalar = float(other)
 
             def backward_s(g):
-                self._accumulate(g * scalar)
+                self._accumulate(g * scalar, owned=True)
 
             return Tensor._make(self.data * scalar, (self,), backward_s)
         other = _ensure(other)
         out_data = self.data * other.data
 
         def backward(g):
-            self._accumulate(_unbroadcast(g * other.data, self.shape))
-            other._accumulate(_unbroadcast(g * self.data, other.shape))
+            self._accumulate(_unbroadcast(g * other.data, self.shape),
+                             owned=True)
+            other._accumulate(_unbroadcast(g * self.data, other.shape),
+                              owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 
@@ -167,7 +177,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         def backward(g):
-            self._accumulate(-g)
+            self._accumulate(-g, owned=True)
 
         return Tensor._make(-self.data, (self,), backward)
 
@@ -179,9 +189,9 @@ class Tensor:
             # skip the GEMM of a side that takes no gradient (e.g. input
             # features): _accumulate would drop its result
             if self.requires_grad:
-                self._accumulate(g @ other.data.T)
+                self._accumulate(g @ other.data.T, owned=True)
             if other.requires_grad:
-                other._accumulate(self.data.T @ g)
+                other._accumulate(self.data.T @ g, owned=True)
 
         return Tensor._make(out_data, (self, other), backward)
 

@@ -23,7 +23,10 @@ Design
   ``workers=1`` and ``workers=4`` is which process makes the call.
 - A failing task raises :class:`~repro.utils.errors.WorkerError` in
   the parent with the child's formatted traceback embedded, so a
-  fan-out failure reads the same as a serial one.
+  fan-out failure reads the same as a serial one.  A task's
+  ``ConfigError`` or ``CapacityError`` (a value the run rejects) is
+  that error's ``__cause__``, on both paths, so a front end can state
+  it as it would a serial one.
 
 Serving points reuse one built system per worker process through
 :func:`shared_system` (a point resets it first, see
@@ -42,7 +45,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.utils.errors import WorkerError
+from repro.utils.errors import CapacityError, ConfigError, WorkerError
 
 __all__ = [
     "RunSpec",
@@ -100,13 +103,17 @@ def shared_system(name: str, config):
     return system
 
 
-def _execute_safe(spec: RunSpec) -> tuple[bool, Any]:
-    """Run one spec; never raises.  Returns ``(ok, result-or-traceback)``
-    so a child failure crosses the process boundary as a string."""
+def _execute_safe(spec: RunSpec) -> tuple[bool, Any, Exception | None]:
+    """Run one spec; never raises.  Returns ``(ok, result-or-traceback,
+    rejection)`` so a child failure crosses the process boundary as a
+    string, plus the ``ConfigError``/``CapacityError`` itself (they
+    pickle) when that is what failed."""
     try:
-        return True, spec.fn(**spec.kwargs)
+        return True, spec.fn(**spec.kwargs), None
+    except (ConfigError, CapacityError) as err:
+        return False, traceback.format_exc(), err
     except BaseException:  # noqa: BLE001 - resurfaced via WorkerError
-        return False, traceback.format_exc()
+        return False, traceback.format_exc(), None
 
 
 def _mp_context():
@@ -133,7 +140,8 @@ def run_tasks(specs, workers: int = 1) -> list:
     ``workers > 1`` fans out over a process pool of at most
     ``min(workers, len(specs))`` workers.  The first failing task
     raises :class:`WorkerError` carrying the child traceback; remaining
-    futures are cancelled by pool shutdown.
+    futures are cancelled by pool shutdown; a task's ``ConfigError`` or
+    ``CapacityError`` is its ``__cause__``.
     """
     specs = list(specs)
     if not specs:
@@ -154,13 +162,13 @@ def run_tasks(specs, workers: int = 1) -> list:
                 f"{len(specs)} task(s): {err}"
             ) from err
     results = []
-    for spec, (ok, value) in zip(specs, outcomes):
+    for spec, (ok, value, rejection) in zip(specs, outcomes):
         if not ok:
             raise WorkerError(
                 f"run {spec.label!r} ({spec.fn.__qualname__}) failed in "
                 f"a worker:\n{value}",
                 label=spec.label,
                 child_traceback=value,
-            )
+            ) from rejection
         results.append(value)
     return results

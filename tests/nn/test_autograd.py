@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Tensor, functional as F
+from repro.nn import Linear, Tensor, functional as F
 from repro.utils import ReproError
 
 
@@ -162,6 +162,20 @@ class TestSegmentOps:
         check_grad(lambda t: (F.segment_softmax(t, self.SEG, 3) * Tensor(w)).sum(),
                    RNG.normal(size=(6,)))
 
+    def test_gather_mean_grad(self):
+        # unsorted segments, a repeated source row, an empty segment (3)
+        # and a row never gathered (4)
+        src = np.array([0, 2, 2, 1, 0, 3])
+        seg = np.array([1, 0, 2, 2, 0, 2])
+        w = RNG.normal(size=(4, 2)).astype(np.float32)
+        check_grad(lambda t: (F.gather_mean(t, src, seg, 4) * Tensor(w)).sum(),
+                   RNG.normal(size=(5, 2)))
+
+    def test_gather_mean_forward(self):
+        x = Tensor(np.arange(4, dtype=np.float32).reshape(4, 1))
+        out = F.gather_mean(x, np.array([3, 1, 1, 0]), np.array([0, 0, 2, 2]), 3)
+        assert out.data.ravel().tolist() == [2.0, 0.0, 0.5]
+
     def test_gather_rows_grad_accumulates_duplicates(self):
         idx = np.array([0, 0, 2])
         t = Tensor(np.ones((3, 2), dtype=np.float32), requires_grad=True)
@@ -179,3 +193,100 @@ class TestSegmentOps:
     def test_segment_mismatch_rejected(self):
         with pytest.raises(ReproError):
             F.segment_sum(Tensor(np.ones((3, 1))), np.array([0, 1]), 2)
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.float32).view(np.int32)
+
+
+class TestFusedLinear:
+    """``Linear`` is one autograd node; it must equal the unfused
+    ``x @ W + b`` graph bit for bit, output and every gradient."""
+
+    @pytest.mark.parametrize("bias", [True, False])
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_matches_matmul_plus_bias_bitwise(self, bias, input_grad):
+        rng = np.random.default_rng(3)
+        lin = Linear(7, 5, bias=bias, rng=rng)
+        if bias:
+            lin.bias.data = rng.normal(size=5).astype(np.float32)
+        x0 = (rng.normal(size=(9, 7)) * 10.0 ** rng.integers(-3, 4, (9, 7)))
+        g = rng.normal(size=(9, 5)).astype(np.float32)
+
+        x = Tensor(x0, requires_grad=input_grad)
+        out = lin(x)
+        out.backward(g)
+
+        x_ref = Tensor(x0, requires_grad=input_grad)
+        w_ref = Tensor(lin.weight.data, requires_grad=True)
+        ref = x_ref @ w_ref
+        if bias:
+            b_ref = Tensor(lin.bias.data, requires_grad=True)
+            ref = ref + b_ref
+        ref.backward(g)
+
+        assert np.array_equal(_bits(out.data), _bits(ref.data))
+        assert np.array_equal(_bits(lin.weight.grad), _bits(w_ref.grad))
+        if bias:
+            assert np.array_equal(_bits(lin.bias.grad), _bits(b_ref.grad))
+        else:
+            assert lin.bias is None
+        if input_grad:
+            assert np.array_equal(_bits(x.grad), _bits(x_ref.grad))
+        else:
+            assert x.grad is None
+
+    def test_records_one_node(self):
+        lin = Linear(3, 2, rng=0)
+        x = Tensor(np.ones((4, 3)))
+        assert lin(x)._parents == (x, lin.weight, lin.bias)
+
+
+class TestGradientAliasing:
+    """First gradients of fresh results are stored without a copy; a
+    tensor used more than once must still get every contribution, and
+    no two gradients may share memory."""
+
+    def test_add_to_itself(self):
+        w = RNG.normal(size=(3, 2)).astype(np.float32)
+        t = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        ((t + t) * Tensor(w)).sum().backward()
+        assert np.array_equal(t.grad, 2 * w)
+
+    def test_two_gathers_of_one_tensor(self):
+        t = Tensor(np.ones((3, 2)), requires_grad=True)
+        a = F.gather_rows(t, np.array([0, 2]))
+        b = F.gather_rows(t, np.array([2, 2, 1]))
+        ((a * 2.0).sum() + b.sum()).backward()
+        assert t.grad[:, 0].tolist() == [2.0, 1.0, 4.0]
+
+    def test_concat_pieces_of_one_tensor(self):
+        w = RNG.normal(size=(3, 4)).astype(np.float32)
+        t = Tensor(RNG.normal(size=(3, 2)), requires_grad=True)
+        (F.concat([t, t]) * Tensor(w)).sum().backward()
+        assert np.array_equal(t.grad, w[:, :2] + w[:, 2:])
+
+    def test_in_place_update_of_one_gradient_changes_no_other(self):
+        lin = Linear(6, 2, rng=1)
+        x = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
+        h = F.relu(x)
+        a = F.gather_rows(h, np.array([0, 0, 2]))
+        m = F.gather_mean(h, np.array([1, 4, 4, 0]), np.array([2, 0, 2, 1]), 3)
+        c = F.concat([a, m])
+        s = lin(c)
+        t = s + s
+        prod = t * Tensor(RNG.normal(size=(3, 2)).astype(np.float32))
+        loss = prod.sum()
+        loss.backward()
+
+        tensors = [x, h, a, m, c, s, t, prod, loss, lin.weight, lin.bias]
+        for i, u in enumerate(tensors):
+            for v in tensors[i + 1:]:
+                assert not np.shares_memory(u.grad, v.grad)
+        before = [v.grad.copy() for v in tensors]
+        for i, u in enumerate(tensors):
+            u.grad += 1.0
+            for j, v in enumerate(tensors):
+                if j != i:
+                    assert np.array_equal(v.grad, before[j])
+            u.grad[...] = before[i]

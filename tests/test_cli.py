@@ -276,6 +276,18 @@ class TestCLI:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert needle in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("command", ["compare", "chaos"])
+    def test_task_rejection_is_one_line_error(self, capsys, command,
+                                              workers):
+        """A budget only a built system can check is rejected inside a
+        fan-out task; it still ends as one line naming the flag."""
+        assert main([command, *ARGS, "--cache-bytes", "1e15",
+                     "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--cache-bytes expects a budget <= GPU 0's free memory" in err
+
     def test_qps_error_names_flag_and_value(self, capsys):
         assert main(["serve", *ARGS, "--requests", "8",
                      "--qps", "2000,0"]) == 1

@@ -4,7 +4,7 @@ import pytest
 
 from repro.parallel import RunSpec, adopt_system, default_workers, run_tasks
 from repro.parallel import _SYSTEM_CACHE, _reset_worker_state
-from repro.utils import WorkerError
+from repro.utils import ConfigError, WorkerError
 
 
 def _echo(label, x):
@@ -13,6 +13,11 @@ def _echo(label, x):
 
 def _boom(label):
     raise ValueError(f"boom in {label}")
+
+
+def _reject(label):
+    raise ConfigError(f"x expects a count >= 1, got 0 in {label}",
+                      field="x", expects="a count >= 1")
 
 
 class TestDefaultWorkers:
@@ -52,6 +57,17 @@ class TestRunTasks:
         assert err.value.label == "bad"
         assert "ValueError: boom in bad" in err.value.child_traceback
         assert "Traceback" in err.value.child_traceback
+        assert err.value.__cause__ is None  # only rejections are chained
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejection_is_the_cause(self, workers):
+        specs = self.specs(2) + [RunSpec(_reject, "bad", {"label": "bad"})]
+        with pytest.raises(WorkerError) as err:
+            run_tasks(specs, workers=workers)
+        cause = err.value.__cause__
+        assert isinstance(cause, ConfigError)
+        assert (cause.field, cause.expects) == ("x", "a count >= 1")
+        assert "ConfigError" in err.value.child_traceback
 
     def test_worker_state_reset_drops_adopted_systems(self):
         class FakeSystem:
