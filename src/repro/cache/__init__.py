@@ -47,7 +47,6 @@ from repro.cache.store import (
     ReplicatedCache,
 )
 from repro.cache.loader import FeatureLoader, HostGatherLoader
-from repro.cache.plan import FeaturePlan, PlanCache
 
 __all__ = [
     "CODECS",
@@ -55,8 +54,6 @@ __all__ = [
     "DynamicCachePolicy",
     "FeatureCodec",
     "get_codec",
-    "FeaturePlan",
-    "PlanCache",
     "HOT_POLICIES",
     "rank_by_degree",
     "rank_by_pagerank",

@@ -27,10 +27,9 @@ the loader's request stream and re-deciding residency online:
   equal number of the patch's coldest residents.
 
 Every promotion batch is reported back to the loader so it can charge
-the cache-fill transfer (host -> GPU rows ride the cold path) and
-invalidate its :class:`~repro.cache.plan.PlanCache` — plans encode the
-local/remote/cold split of the *old* placement and must never be
-served after a reshuffle.  Registered ``on_change`` callbacks (e.g.
+the cache-fill transfer (host -> GPU rows ride the cold path); the
+loader plans every request against the current placement, so the next
+load sees the reshuffle.  Registered ``on_change`` callbacks (e.g.
 the CSP's cached-node bias refresh) fire on the same batches.
 
 Determinism: scores, tie-breaks (static hotness rank) and window
@@ -260,8 +259,7 @@ class DynamicCachePolicy:
         Returns the per-patch count of rows promoted *by this load*
         (frontier prefetch + any window rebalance) — the loader charges
         them as a host->GPU cache-fill transfer.  Fires ``on_change``
-        callbacks when the placement changed; the caller is responsible
-        for its own plan-cache invalidation (it knows its cache).
+        callbacks when the placement changed.
         """
         cfg = self.config
         counts = self.counts
@@ -282,11 +280,6 @@ class DynamicCachePolicy:
         if changed:
             self._notify()
         return fill
-
-    @property
-    def placement_changed(self) -> bool:
-        """Whether the most recent observe()/warm()/reset() moved rows."""
-        return self.last_promoted > 0 or self.last_demoted > 0
 
     # ------------------------------------------------------------------
     def _rebalance(self, fill: np.ndarray) -> bool:

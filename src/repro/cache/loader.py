@@ -20,9 +20,10 @@ GPU.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.cache.plan import FeaturePlan, PlanCache
 from repro.cache.store import CacheStore, Placement
 from repro.sampling.ops import (
     AllToAll,
@@ -49,20 +50,32 @@ def dedup(req) -> np.ndarray:
     return np.unique(req)
 
 
-class FeatureLoader:
-    """GPU-side loader over a cache store.
+@dataclass(frozen=True)
+class FeaturePlan:
+    """Placement plan for one GPU's request.
 
-    ``plan_cache`` (on by default) memoizes the placement plan — dedup,
-    local/remote/cold split and the per-holder byte-matrix rows — per
-    ``(gpu, request-bytes)`` frontier block, so serving batches that
-    repeat a block skip the ``unique``/``locate``/``bincount``
-    replanning entirely (see :mod:`repro.cache.plan`).  Outputs are
-    bit-identical with the cache on or off.  Pass ``plan_cache=None``
-    to disable, or a pre-built :class:`PlanCache` to share/bound one.
+    Everything :meth:`FeatureLoader.load` needs except the feature
+    rows: the deduplicated node ids, the hot/cold split counts and the
+    remote-hit count per holder GPU (one row of the k x k byte-matrix
+    skeleton).
     """
 
+    nodes: np.ndarray  # deduplicated, sorted request ids (read-only)
+    n_local: int
+    n_remote: int
+    n_cold: int
+    remote_row: np.ndarray  # remote hits per holder GPU [k], int64
+    #: True where ``nodes`` is NOT local to the requesting GPU — the
+    #: rows that travel a link and get the codec roundtrip.  Only
+    #: computed (non-None) when the loader has a lossy codec attached.
+    miss_mask: np.ndarray | None = None
+
+
+class FeatureLoader:
+    """GPU-side loader over a cache store; every load plans each GPU's
+    request against the store's current placement."""
+
     def __init__(self, features: np.ndarray, store: CacheStore,
-                 plan_cache: PlanCache | bool | None = True,
                  codec=None, dynamic=None):
         if features.ndim != 2:
             raise ConfigError("features must be [num_nodes, dim]")
@@ -82,49 +95,17 @@ class FeatureLoader:
             if self.codec is not None else self.row_bytes
         )
         #: optional :class:`~repro.cache.dynamic.DynamicCachePolicy`;
-        #: when attached, every load feeds the request stream to it and
-        #: placement changes invalidate the plan cache below
+        #: when attached, every load feeds the request stream to it
         self.dynamic = dynamic
         #: running per-path totals across load() calls (monotonic; the
         #: dynamic-cache ablation snapshots deltas around a serve run)
         self.totals = {"local": 0, "remote": 0, "cold": 0,
                        "cold_bytes": 0.0, "fill": 0}
-        if plan_cache is True:
-            plan_cache = PlanCache()
-        elif plan_cache is False:
-            plan_cache = None
-        self.plan_cache: PlanCache | None = plan_cache
-        #: the store the cached plans were computed against; plans are
-        #: placement-specific, so swapping the store invalidates them
-        self._planned_store = store
-
-    def rebind_store(self, store: CacheStore) -> None:
-        """Point the loader at a different store (replica failover /
-        placement change), invalidating every cached plan."""
-        self.store = store
-        self._check_placement()
-
-    def _check_placement(self) -> None:
-        """Invalidate plans if the store was swapped out from under the
-        cache — keyed plans encode the *old* layout's local/remote/cold
-        split and must never be served against the new one."""
-        if self.store is not self._planned_store:
-            if self.plan_cache is not None:
-                self.plan_cache.invalidate()
-            self._planned_store = self.store
 
     def _plan(self, g: int, req: np.ndarray, k: int) -> FeaturePlan:
-        """The placement plan for one request block, cached when the
-        same block bytes were planned before."""
-        cache = self.plan_cache
-        key = None
-        if cache is not None:
-            key = PlanCache.key(g, req)
-            plan = cache.lookup(key)
-            if plan is not None:
-                return plan
+        """The placement plan for GPU ``g``'s request block."""
         nodes = dedup(req)
-        # plans are shared (cache, dynamic feed): never writable; dedup
+        # the dynamic feed shares plan nodes: never writable; dedup
         # returns a view, so the caller's own array stays writable
         nodes.flags.writeable = False
         n_local = n_remote = n_cold = 0
@@ -139,11 +120,8 @@ class FeatureLoader:
                 remote_row = np.bincount(holders, minlength=k)
             if self.codec is not None:
                 miss_mask = loc.placement != Placement.LOCAL
-        plan = FeaturePlan(nodes, n_local, n_remote, n_cold, remote_row,
+        return FeaturePlan(nodes, n_local, n_remote, n_cold, remote_row,
                            miss_mask)
-        if cache is not None:
-            cache.store(key, plan)
-        return plan
 
     def load(
         self, requests_per_gpu: list[np.ndarray], gather: bool = True
@@ -161,7 +139,6 @@ class FeatureLoader:
         dynamic-policy feed derive from the plan alone, so they are
         identical either way.
         """
-        self._check_placement()
         k = self.store.num_gpus
         if len(requests_per_gpu) != k:
             raise ConfigError("need one request array per GPU")
@@ -213,11 +190,8 @@ class FeatureLoader:
         ]
         if self.dynamic is not None:
             # feed the (deduplicated) request stream to the dynamic
-            # policy; promoted rows are staged host -> GPU on the cold
-            # path, and a placement change makes every cached plan stale
+            # policy; promoted rows are staged host -> GPU on the cold path
             fill = self.dynamic.observe([p.nodes for p in plans])
-            if self.dynamic.placement_changed and self.plan_cache is not None:
-                self.plan_cache.invalidate()
             if fill.any():
                 # staged rows ride the same (possibly compressed) wire
                 # format as any other host -> GPU feature transfer

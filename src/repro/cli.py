@@ -453,12 +453,6 @@ def cmd_trace(args) -> int:
     print(format_breakdown(stall_breakdown(tracer, total, args.gpus), total))
     print()
     print(format_critical_path(critical_path(tracer)))
-    pc = getattr(system.loader, "plan_cache", None)
-    if pc is not None:
-        from repro.obs import format_plan_cache
-
-        print()
-        print(format_plan_cache(pc.stats()))
     if deadlock is not None:
         stuck = [ev for ev in tracer.spans() if ev.args.get("unresolved")]
         print(f"\nDEADLOCK after {total:.6f}s — {len(stuck)} unresolved "
@@ -596,8 +590,7 @@ def cmd_report(args) -> int:
             chaos_payload = load(args.chaos)
         if args.trace:
             from repro.obs import (critical_path, format_breakdown,
-                                   format_critical_path, format_plan_cache,
-                                   plan_cache_stats, read_chrome_trace,
+                                   format_critical_path, read_chrome_trace,
                                    stall_breakdown)
             from repro.obs.analysis import track_gpu
 
@@ -617,9 +610,6 @@ def cmd_report(args) -> int:
             trace_sections.append(
                 ("Critical path", format_critical_path(critical_path(tracer)))
             )
-            pc = plan_cache_stats(tracer)
-            if pc is not None:
-                trace_sections.append(("Plan cache", format_plan_cache(pc)))
     except FileNotFoundError as err:
         return _fail(f"{err.filename}: no such file")
     except json.JSONDecodeError as err:

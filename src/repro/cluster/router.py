@@ -13,7 +13,7 @@ with a pluggable, fully deterministic policy:
   warm up round-robin.
 - ``affinity`` — partition-affinity: all requests for the same seed
   node (and, given a partition, the same graph patch) land on the same
-  replica, maximizing feature-cache and plan-cache locality.  This is
+  replica, so each replica's hot feature rows stay hot.  This is
   the policy the knee-QPS scaling benchmark pins.
 
 Determinism matters more than realism here: the executor contract says

@@ -34,10 +34,10 @@ def affinity_map(system, num_replicas: int) -> np.ndarray | None:
     """Node -> replica map that shards *within* every GPU patch.
 
     Each replica serves one contiguous slice of every patch, so a node
-    always lands on the same replica (its plan cache and hot feature
-    rows stay warm) while each replica's sub-stream still spreads over
-    all GPU batchers.  Sharding by patch *owner* instead would send a
-    whole patch's stream to one replica — and inside that replica every
+    always lands on the same replica (its hot feature rows stay hot)
+    while each replica's sub-stream still spreads over all GPU
+    batchers.  Sharding by patch *owner* instead would send a whole
+    patch's stream to one replica — and inside that replica every
     request would route to the owner GPU, so per-GPU load (and the
     knee) would never scale with the replica count.  ``None`` when the
     system has no owner partition (the router falls back to

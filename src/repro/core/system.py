@@ -393,9 +393,6 @@ class TrainingSystem:
         dyn = getattr(self.loader, "dynamic", None)
         if dyn is not None:
             dyn.reset()
-        pc = getattr(self.loader, "plan_cache", None)
-        if pc is not None:
-            pc.reset()
 
     def warm_cache(self, nodes) -> int | None:
         """Seed the dynamic cache policy from workload history, once.

@@ -690,15 +690,6 @@ def _serve_section(serve: dict) -> str:
             fig.add(path, [(r["t"], r["value"]) for r in data["windows"]],
                     _SLOTS[i])
         out.append(fig.render())
-    plan = cache.get("plan")
-    if plan:
-        out.append(
-            '<div class="tiles">'
-            + _tile("Plan cache hit rate", f"{plan['hit_rate'] * 100:.1f}%",
-                    f"{_fmt(plan['hits'])} hits / "
-                    f"{_fmt(plan['misses'])} misses")
-            + "</div>"
-        )
 
     if events:
         rows = "".join(

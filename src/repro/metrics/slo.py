@@ -180,15 +180,6 @@ def serve_summary(registry: MetricsRegistry, slo_s: float) -> dict:
         series = _counter_series(reg, counter)
         if series is not None:
             cache[key] = series
-    hits = reg.find("gauge", "plan_cache_hits")
-    misses = reg.find("gauge", "plan_cache_misses")
-    if hits is not None and misses is not None:
-        total = hits.last + misses.last
-        cache["plan"] = {
-            "hits": hits.last,
-            "misses": misses.last,
-            "hit_rate": hits.last / total if total else 0.0,
-        }
     if cache:
         out["cache"] = cache
 

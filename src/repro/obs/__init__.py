@@ -32,8 +32,6 @@ from repro.obs.analysis import (
     critical_path,
     format_breakdown,
     format_critical_path,
-    format_plan_cache,
-    plan_cache_stats,
     sm_busy_times,
     stall_breakdown,
 )
@@ -51,8 +49,6 @@ __all__ = [
     "to_chrome_trace",
     "to_text",
     "write_chrome_trace",
-    "format_plan_cache",
-    "plan_cache_stats",
     "GpuBreakdown",
     "PathSegment",
     "critical_path",

@@ -201,36 +201,3 @@ def format_critical_path(path: list[PathSegment], top: int = 12) -> str:
             f"    {seg.duration:>12.6f}s  {seg.name:<20} {seg.cat:<8} {where}"
         )
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# plan-cache effectiveness
-# ----------------------------------------------------------------------
-def plan_cache_stats(tracer: Tracer) -> dict | None:
-    """Final plan-cache counters recorded in a trace, or None.
-
-    The serving pipeline emits cumulative ``plan-cache`` counter events
-    (hits/misses of :class:`repro.cache.plan.PlanCache`) after every
-    feature load; this reads the last one and derives the hit rate, so
-    ``repro trace`` and post-hoc analyses can report cache
-    effectiveness per run.
-    """
-    last = None
-    for ev in tracer.counters(name="plan-cache"):
-        last = ev
-    if last is None:
-        return None
-    hits = int(last.values.get("hits", 0))
-    misses = int(last.values.get("misses", 0))
-    total = hits + misses
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / total if total else 0.0,
-    }
-
-
-def format_plan_cache(stats: dict) -> str:
-    """One-line summary of :func:`plan_cache_stats` output."""
-    return (f"plan cache: {stats['hits']} hits / {stats['misses']} misses "
-            f"({stats['hit_rate']:.1%} hit rate)")

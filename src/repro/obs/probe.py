@@ -261,14 +261,12 @@ class Probe:
         ])
 
     # -- serving -------------------------------------------------------------
-    def serve_begin(self, k: int, plan_cache, stages) -> None:
+    def serve_begin(self, k: int, stages) -> None:
         """A serving run on ``k`` GPUs starts: declare its tracks and
         register the per-request instruments (even a run that completes
         nothing exports them); ``stages`` names the latency stages."""
         tracer, met = self.tracer, self.metrics
         if tracer is not None:
-            if plan_cache is not None:
-                tracer.declare_track("plan-cache", group="cache", sort=0)
             for g in range(k):
                 for sort, role in enumerate(
                         ("batcher", "sampler", "loader", "infer")):
@@ -337,17 +335,13 @@ class Probe:
             self.tracer.instant(track, "degraded-load", self.sim.now,
                                 cat="chaos", batch=batch, lost=sorted(lost))
 
-    def load_done(self, stats: dict, dynamic, plan_cache) -> None:
-        """A batch's feature load finished: path counts, dynamic-cache
-        moves and plan-cache totals."""
-        now = self.sim.now
-        if self.tracer is not None and plan_cache is not None:
-            self.tracer.counter("plan-cache", "plan-cache", now,
-                                hits=plan_cache.hits,
-                                misses=plan_cache.misses)
+    def load_done(self, stats: dict, dynamic) -> None:
+        """A batch's feature load finished: path counts and
+        dynamic-cache moves."""
         met = self.metrics
         if met is None:
             return
+        now = self.sim.now
         for path, n in stats.items():
             if n:
                 met.counter("feature_requests", path=path).inc(now, n)
@@ -359,9 +353,6 @@ class Probe:
                 met.counter("cache_promote").inc(now, dynamic["promoted"])
             if dynamic["demoted"]:
                 met.counter("cache_demote").inc(now, dynamic["demoted"])
-        if plan_cache is not None:
-            met.gauge("plan_cache_hits").set(now, plan_cache.hits)
-            met.gauge("plan_cache_misses").set(now, plan_cache.misses)
 
     def request_done(self, rec, slo_s: float) -> None:
         """A request completed; ``rec`` has its exact latency."""

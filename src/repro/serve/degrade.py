@@ -69,8 +69,7 @@ def degraded_loader(system, lost) -> FeatureLoader | None:
         return None
     if not any(len(store.cached_nodes(g)) for g in lost):
         return None
-    return FeatureLoader(base.features, DegradedStore(store, lost),
-                         plan_cache=None)
+    return FeatureLoader(base.features, DegradedStore(store, lost))
 
 
 __all__ = ["DegradedStore", "degraded_loader"]

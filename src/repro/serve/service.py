@@ -174,7 +174,6 @@ class GNNServer:
         inj = self.injector
         if inj is not None:
             inj.install(sim)
-        plan_cache = getattr(system.loader, "plan_cache", None)
         # failover loaders per lost-peer set, built lazily on first use
         failover_loaders: dict = {}
 
@@ -308,7 +307,7 @@ class GNNServer:
                 yield from run_trace(g, trace, "load", batch.bid, track)
                 dyn = stats.pop("dynamic", None)
                 if probe is not None:
-                    probe.load_done(stats, dyn, plan_cache)
+                    probe.load_done(stats, dyn)
                 batch.feats = feats
                 batch.stages["load"] = sim.now - t0
                 yield computeq[g].put(batch)
@@ -350,7 +349,7 @@ class GNNServer:
                     remaining[0] -= len(batch.requests)
 
         if probe is not None:
-            probe.serve_begin(k, plan_cache, ("queue", "batch") + SERVE_STAGES)
+            probe.serve_begin(k, ("queue", "batch") + SERVE_STAGES)
         sim.spawn(arrivals(), name="arrivals")
         for g in range(k):
             sim.spawn(feeder(g), name=f"batcher-gpu{g}")

@@ -1,12 +1,14 @@
-"""Plan-cache invalidation on placement change (store swap).
+"""Plans follow a placement change (store swap).
 
-A cached :class:`~repro.cache.plan.FeaturePlan` encodes the placement
-it was computed against — the local/remote/cold split and per-holder
-rows.  If the loader's store is swapped (replica failover, topology
-change) and a stale plan were served, the byte matrices would describe
-the *old* layout.  These tests pin the invalidation hook and the
-regression the hook prevents.
+A :class:`~repro.cache.loader.FeaturePlan` encodes the placement it was
+computed against — the local/remote/cold split and per-holder rows.  If
+the loader's store is swapped (replica failover, topology change) and a
+plan of the old layout were reused, the byte matrices would describe
+the *old* layout.  These tests pin that every load after a swap is
+planned against the new store.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -25,71 +27,53 @@ def _setup(num_nodes: int = 64, k: int = 2):
     return features, store_a, store_b, requests
 
 
-class TestInvalidation:
-    def test_rebind_store_invalidates(self):
-        features, store_a, store_b, requests = _setup()
-        loader = FeatureLoader(features, store_a)
-        loader.load(requests)
-        assert loader.plan_cache.stats()["invalidations"] == 0
-        assert len(loader.plan_cache) > 0
-        loader.rebind_store(store_b)
-        assert loader.plan_cache.stats()["invalidations"] == 1
-        assert len(loader.plan_cache) == 0
+def _assert_same_load(got, want):
+    """Rows, stats and every field of every op are equal."""
+    feats, trace, stats = got
+    want_feats, want_trace, want_stats = want
+    assert stats == want_stats
+    for a, b in zip(feats, want_feats):
+        np.testing.assert_array_equal(a, b)
+    (group,), (want_group,) = list(trace), list(want_trace)
+    assert len(group.branches) == len(want_group.branches)
+    for branch, want_branch in zip(group.branches, want_group.branches):
+        assert len(branch) == len(want_branch)
+        for op, want_op in zip(branch, want_branch):
+            assert type(op) is type(want_op)
+            for f in dataclasses.fields(op):
+                np.testing.assert_array_equal(getattr(op, f.name),
+                                              getattr(want_op, f.name))
 
+
+class TestInvalidation:
     def test_direct_assignment_caught_on_next_load(self):
-        """Swapping ``loader.store`` without the helper must still
-        invalidate before any plan is served."""
+        """Swapping ``loader.store`` by assignment takes effect on the
+        very next load: its split is the new store's, not the old."""
         features, store_a, store_b, requests = _setup()
         loader = FeatureLoader(features, store_a)
-        loader.load(requests)
+        _, _, stats_a = loader.load(requests)
         loader.store = store_b
-        loader.load(requests)
-        assert loader.plan_cache.stats()["invalidations"] == 1
+        _, _, stats_b = loader.load(requests)
+        assert stats_b != stats_a
+        assert stats_b == FeatureLoader(features, store_b).load(requests)[2]
 
     def test_stale_plans_never_served(self):
-        """The regression the hook prevents: after a store swap the
-        loader's traces must match a fresh loader on the new store."""
+        """After a store swap the loader's load — even of a block it
+        planned before the swap — matches a fresh loader on the new
+        store in rows, stats and every op matrix."""
         features, store_a, store_b, requests = _setup()
         loader = FeatureLoader(features, store_a)
-        loader.load(requests)  # warm plans against store A
-        loader.rebind_store(store_b)
-        _, trace_swapped, stats_swapped = loader.load(requests)
-
-        fresh = FeatureLoader(features, store_b)
-        _, trace_fresh, stats_fresh = fresh.load(requests)
-        assert stats_swapped == stats_fresh
-        group_a = next(iter(trace_swapped))
-        group_b = next(iter(trace_fresh))
-        for branch_a, branch_b in zip(group_a.branches, group_b.branches):
-            for op_a, op_b in zip(branch_a, branch_b):
-                if hasattr(op_a, "matrix"):
-                    assert np.array_equal(op_a.matrix, op_b.matrix)
-
-    def test_same_store_never_invalidates(self):
-        features, store_a, _, requests = _setup()
-        loader = FeatureLoader(features, store_a)
-        for _ in range(3):
-            loader.load(requests)
-        stats = loader.plan_cache.stats()
-        assert stats["invalidations"] == 0
-        assert stats["hits"] > 0
-
-    def test_invalidate_preserves_counters(self):
-        from repro.cache.plan import PlanCache
-
-        cache = PlanCache()
-        key = PlanCache.key(0, np.arange(4))
-        assert cache.lookup(key) is None  # one miss
-        cache.invalidate()
-        stats = cache.stats()
-        assert stats["invalidations"] == 1
-        assert stats["misses"] == 1  # history preserved
-        cache.reset()
-        assert cache.stats()["invalidations"] == 0
+        loader.load(requests)  # plan this block against store A
+        loader.store = store_b
+        _assert_same_load(loader.load(requests),
+                          FeatureLoader(features, store_b).load(requests))
 
     def test_disabled_cache_tolerates_swap(self):
+        """Swapping back and forth between stores keeps every load equal
+        to a fresh loader's on the store in place at the time."""
         features, store_a, store_b, requests = _setup()
-        loader = FeatureLoader(features, store_a, plan_cache=None)
-        loader.load(requests)
-        loader.rebind_store(store_b)
-        loader.load(requests)  # must not raise
+        loader = FeatureLoader(features, store_a)
+        for store in (store_b, store_a, store_b):
+            loader.store = store
+            _assert_same_load(loader.load(requests),
+                              FeatureLoader(features, store).load(requests))

@@ -29,7 +29,7 @@ HEAD_SERVE_ONCE = (
     "d6c72b206a5b920590fddb925b217637817910905b9df1b2c2ba52907d45ff97"
 )
 HEAD_SERVE_ONCE_METRICS = (
-    "47601fc656354d17cc06b08c0b232209cd4b6b78d8c1af6c1d74ff71f943ece7"
+    "d50bd689ae45d6acc91b391f875637761440f3cf8d0ca11226c2bb8ceca911ed"
 )
 HEAD_QPS_SWEEP = (
     "be55cb3d6b05822afd6ff78e261d2380027ec9757d85271b47d9bb6519407bff"

@@ -98,11 +98,3 @@ class TestServeSummary:
         assert [e["name"] for e in out["events"]] == [
             "violation:queue-bound", "inject:gpu-straggler",
         ]
-
-    def test_plan_cache_hit_rate(self):
-        reg = MetricsRegistry(window_s=1.0)
-        reg.gauge("plan_cache_hits").set(0.5, 6.0)
-        reg.gauge("plan_cache_misses").set(0.5, 2.0)
-        reg.finalize(1.0)
-        out = serve_summary(reg, slo_s=0.005)
-        assert out["cache"]["plan"]["hit_rate"] == pytest.approx(0.75)

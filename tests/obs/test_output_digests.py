@@ -59,17 +59,17 @@ TRACE_TWO_SERVERS = (
 #: ``repro serve`` with every instrumentation flag at qps 3000 (the
 #: controller acts) and 1e6 (admission sheds)
 SERVE = {
-    "out": "8ff0117f3115f35b425709d2adf46937cc81f2466381515137a0df5b9e12158f",
+    "out": "0b162b22148c8377da67ce409023b11f0609f9f394b5d125771dea1742c5e9de",
     "sweep-DSP-qps3000.json":
-        "6aee0fb68600cf3853c68fdf6b9057989da8db1be6ca2bfd7d88bf2cde29ac2a",
+        "f6949b863835044f7d839106dd0145a43a386e7111ee20657146b355db1a1320",
     "sweep-DSP-qps1e_06.json":
-        "918e997d7e363634e4db3582f91f269e1950e77a9347d654c0530ba06c09494d",
+        "41289440b2017faf45597ed286c7df11170a1f8bd348bb15a76625f8ed793fdf",
 }
 
 #: ``to_jsonl`` of a metrics registry attached to one run
 JSONL = {
     "epoch": "b1ef9d3799f033bc4d31b60406880e8ebf8b86e06323a2207fc60a40be3da47c",
-    "serve": "4a4ac5d5c93de8e3c94b4946fd69713989f140fb69edf6a7fb9bb25f7da9b8fd",
+    "serve": "55f19c77a48c893760f42970d0b0aa5bc23889b63b701b062893d1997e3f4962",
 }
 
 #: a traced chaos epoch (link flap + sampler crash): Chrome trace and
@@ -146,7 +146,7 @@ def test_serve_registry_jsonl():
     jsonl = to_jsonl(reg)
     for name in ('"reason": "priority"', '"reason": "quota"',
                  '"requests_shed"', '"control:pressure-up"',
-                 '"cache_promote"', '"plan_cache_hits"'):
+                 '"cache_promote"'):
         assert name in jsonl
     assert sha(jsonl) == JSONL["serve"]
 
