@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.store import CacheStore, Placement
+from repro.cache.store import CacheStore, DegradedStore, Placement
 from repro.sampling.ops import (
     AllToAll,
     HostWork,
@@ -55,20 +55,17 @@ class FeaturePlan:
     """Placement plan for one GPU's request.
 
     Everything :meth:`FeatureLoader.load` needs except the feature
-    rows: the deduplicated node ids, the hot/cold split counts and the
-    remote-hit count per holder GPU (one row of the k x k byte-matrix
-    skeleton).
+    rows: the deduplicated node ids, each one's placement, the
+    hot/cold split counts and the remote-hit count per holder GPU (one
+    row of the k x k byte-matrix skeleton).
     """
 
     nodes: np.ndarray  # deduplicated, sorted request ids (read-only)
+    placement: np.ndarray  # Placement of each of ``nodes``
     n_local: int
     n_remote: int
     n_cold: int
     remote_row: np.ndarray  # remote hits per holder GPU [k], int64
-    #: True where ``nodes`` is NOT local to the requesting GPU — the
-    #: rows that travel a link and get the codec roundtrip.  Only
-    #: computed (non-None) when the loader has a lossy codec attached.
-    miss_mask: np.ndarray | None = None
 
 
 class FeatureLoader:
@@ -101,30 +98,34 @@ class FeatureLoader:
         #: dynamic-cache ablation snapshots deltas around a serve run)
         self.totals = {"local": 0, "remote": 0, "cold": 0,
                        "cold_bytes": 0.0, "fill": 0}
+        #: the per-GPU plans of the latest load() call, as planned
+        #: (before the dynamic policy moved any row)
+        self.last_plans: list[FeaturePlan] = []
 
-    def _plan(self, g: int, req: np.ndarray, k: int) -> FeaturePlan:
-        """The placement plan for GPU ``g``'s request block."""
+    def _plan(self, g: int, req: np.ndarray, store: CacheStore) -> FeaturePlan:
+        """The placement plan for GPU ``g``'s request block against
+        ``store``."""
         nodes = dedup(req)
         # the dynamic feed shares plan nodes: never writable; dedup
         # returns a view, so the caller's own array stays writable
         nodes.flags.writeable = False
         n_local = n_remote = n_cold = 0
-        remote_row = np.zeros(k, dtype=np.int64)
-        miss_mask = np.zeros(0, dtype=bool) if self.codec is not None else None
+        remote_row = np.zeros(store.num_gpus, dtype=np.int64)
+        placement = np.zeros(0, dtype=np.int64)
         if len(nodes):  # an idle GPU's empty request has nothing to locate
-            loc = self.store.locate(nodes, g)
+            loc = store.locate(nodes, g)
+            placement = loc.placement
             n_local, n_remote, n_cold = np.bincount(
-                loc.placement, minlength=len(Placement)).tolist()
+                placement, minlength=len(Placement)).tolist()
             if n_remote:
-                holders = loc.holder[loc.placement == Placement.REMOTE]
-                remote_row = np.bincount(holders, minlength=k)
-            if self.codec is not None:
-                miss_mask = loc.placement != Placement.LOCAL
-        return FeaturePlan(nodes, n_local, n_remote, n_cold, remote_row,
-                           miss_mask)
+                holders = loc.holder[placement == Placement.REMOTE]
+                remote_row = np.bincount(holders, minlength=store.num_gpus)
+        return FeaturePlan(nodes, placement, n_local, n_remote, n_cold,
+                           remote_row)
 
     def load(
-        self, requests_per_gpu: list[np.ndarray], gather: bool = True
+        self, requests_per_gpu: list[np.ndarray], gather: bool = True,
+        lost: frozenset = frozenset(),
     ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
         """Fetch features for each GPU's request list.
 
@@ -138,10 +139,16 @@ class FeatureLoader:
         the matrices come back as ``None``.  Trace, stats and the
         dynamic-policy feed derive from the plan alone, so they are
         identical either way.
+
+        ``lost`` names GPUs whose cache shard is gone (a lost cache
+        peer): for this call their rows are planned as cold, so they
+        fail over to the UVA path.  Everything else about the load —
+        codec, dynamic feed — is unchanged.
         """
         k = self.store.num_gpus
         if len(requests_per_gpu) != k:
             raise ConfigError("need one request array per GPU")
+        store = DegradedStore(self.store, lost) if lost else self.store
 
         out: list[np.ndarray] | None = [] if gather else None
         local_bytes = np.zeros(k, dtype=np.float64)
@@ -154,10 +161,11 @@ class FeatureLoader:
 
         for g, req in enumerate(requests_per_gpu):
             req = np.ascontiguousarray(np.asarray(req, dtype=np.int64))
-            plan = self._plan(g, req, k)
+            plan = self._plan(g, req, store)
             plans.append(plan)
-            decode = (codec is not None and plan.miss_mask is not None
-                      and bool(plan.miss_mask.any()))
+            # rows that are not local travel a link and get the codec
+            # roundtrip
+            decode = codec is not None and plan.n_remote + plan.n_cold > 0
             if decode:
                 decode_bytes[g] = (
                     (plan.n_remote + plan.n_cold) * self.row_bytes
@@ -166,7 +174,8 @@ class FeatureLoader:
                 rows = self.features[plan.nodes]
                 if decode:
                     # fancy indexing above copied, so in-place is safe
-                    rows[plan.miss_mask] = codec.apply(rows[plan.miss_mask])
+                    miss = plan.placement != Placement.LOCAL
+                    rows[miss] = codec.apply(rows[miss])
                 out.append(rows)
             stats["local"] += plan.n_local
             stats["remote"] += plan.n_remote
@@ -175,6 +184,7 @@ class FeatureLoader:
             cold_items[g] = plan.n_cold
             remote_rows[g] = plan.remote_row
 
+        self.last_plans = plans
         remote_counts = remote_rows.astype(np.float64)
         pos_req = remote_counts * ID_BYTES
         feat_resp = remote_counts.T * self.wire_row_bytes
@@ -238,10 +248,12 @@ class HostGatherLoader:
         self.row_bytes = features.shape[1] * features.dtype.itemsize
 
     def load(
-        self, requests_per_gpu: list[np.ndarray], gather: bool = True
+        self, requests_per_gpu: list[np.ndarray], gather: bool = True,
+        lost: frozenset = frozenset(),
     ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
         """Host-gather + bulk-copy features for each GPU's request list
-        (``gather=False``: price only, matrices ``None``)."""
+        (``gather=False``: price only, matrices ``None``).  There is no
+        GPU cache to lose, so ``lost`` changes nothing."""
         if len(requests_per_gpu) != self.num_gpus:
             raise ConfigError("need one request array per GPU")
         out = [] if gather else None

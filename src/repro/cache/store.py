@@ -177,3 +177,34 @@ class NoCache(CacheStore):
 
     def cached_nodes(self, gpu: int) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
+
+
+class DegradedStore(CacheStore):
+    """A cache store view with some peers' shards gone.
+
+    DSP's cache is partitioned (§3.1), so a lost peer takes its shard
+    with it.  Entries whose holder is in ``lost`` (the requesting GPU
+    itself included) answer COLD: host memory still has every row, so
+    they fail over to UVA and only timing degrades.
+    """
+
+    def __init__(self, store: CacheStore, lost):
+        self.store = store
+        self.lost = frozenset(lost)
+        self.num_gpus = store.num_gpus
+
+    def locate(self, nodes: np.ndarray, gpu: int) -> Location:
+        loc = self.store.locate(nodes, gpu)
+        dead = np.isin(loc.holder, np.fromiter(self.lost, dtype=np.int64))
+        if not dead.any():
+            return loc
+        placement = loc.placement.copy()
+        holder = loc.holder.copy()
+        placement[dead] = Placement.COLD
+        holder[dead] = -1
+        return Location(placement, holder)
+
+    def cached_nodes(self, gpu: int) -> np.ndarray:
+        if gpu in self.lost:
+            return np.empty(0, dtype=np.int64)
+        return self.store.cached_nodes(gpu)

@@ -19,19 +19,16 @@ functionally on server 0's slice of every global batch.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.cache.loader import ID_BYTES, dedup
+from repro.cache.loader import ID_BYTES
 from repro.cache.store import Placement
 from repro.cluster.csp import nic_ring
 from repro.core.system import DSP
 from repro.hw.devices import Cluster
-from repro.sampling.ops import (
-    NetworkTransfer,
-    OpTrace,
-    ParallelGroup,
-    UVAGather,
-)
+from repro.sampling.ops import NetworkTransfer
 
 
 class ReplicatedDSP(DSP):
@@ -48,40 +45,29 @@ class ReplicatedDSP(DSP):
         """Server 0 takes its slice, then co-partitions per GPU."""
         return super()._assign_seeds(seeds[:: self.config.num_nodes])
 
-    def _load(self, requests, gather=True):
-        """Hot path as in DSP; every cold row crosses the PCIe (from host
-        memory, or from the NIC on its last hop), and one on another
-        server's shard (node ``v``'s on server ``v % num_nodes``) adds a
-        network round trip to that server."""
-        feats, trace, stats = super()._load(requests, gather=gather)
+    def _load(self, requests, gather=True, lost=frozenset()):
+        """DSP's load, plus a network branch: a cold row on another
+        server's shard (node ``v``'s on server ``v % num_nodes``) costs
+        one request and one row, in the loader's wire format, to that
+        server.  Every cold row still crosses the PCIe (from host
+        memory, or from the NIC on its last hop): the loader's own cold
+        path prices it."""
+        feats, trace, stats = super()._load(requests, gather=gather,
+                                            lost=lost)
         M = self.config.num_nodes
         if M == 1:
             return feats, trace, stats
-        row = self.loader.row_bytes
+        cold = np.concatenate([p.nodes[p.placement == Placement.COLD]
+                               for p in self.loader.last_plans])
+        remote = np.bincount(cold % M, minlength=M)[1:]
         req = np.zeros((M, M))
-        pcie_items = np.zeros(self.k)
-        remote_rows = 0
-        for g, nodes in enumerate(requests):
-            nodes = dedup(nodes)
-            loc = self.loader.store.locate(nodes, g)
-            cold = nodes[loc.placement == Placement.COLD]
-            per_server = np.bincount(cold % M, minlength=M)
-            pcie_items[g] = len(cold)  # this trace follows server 0
-            req[0, 1:] += per_server[1:] * ID_BYTES
-            req[1:, 0] += per_server[1:] * row
-            remote_rows += int(per_server[1:].sum())
-        # rebuild the load op: hot branch unchanged, cold PCIe + network
-        hot_branch = trace.ops[0].branches[0]
-        cold_branch = (
-            UVAGather(pcie_items, item_bytes=row, label="feat-cold-pcie"),
-        )
+        req[0, 1:] = remote * ID_BYTES
+        req[1:, 0] = remote * self.loader.wire_row_bytes
+        group = trace.ops[0]
         net_branch = (NetworkTransfer(req, label="feat-cold-remote"),)
-        new = OpTrace()
-        new.add(ParallelGroup(branches=(hot_branch, cold_branch, net_branch),
-                              label="feature-load-mm"))
-        stats = dict(stats)
-        stats["cold_remote"] = remote_rows
-        return feats, new, stats
+        trace.ops[0] = replace(group, branches=group.branches + (net_branch,))
+        stats["cold_remote"] = int(remote.sum())
+        return feats, trace, stats
 
     def _train_batch(self, samples, feats, functional):
         """Server 0's replicas take a BSP step on server 0's slice; the

@@ -117,8 +117,9 @@ class Quiver(TrainingSystem):
                            label="cudaMalloc-sample"))
         return samples, trace
 
-    def _load(self, requests, gather=True):
-        feats, trace, stats = super()._load(requests, gather=gather)
+    def _load(self, requests, gather=True, lost=frozenset()):
+        feats, trace, stats = super()._load(requests, gather=gather,
+                                            lost=lost)
         trace.add(Overhead(self._alloc_stall(self.LOAD_ALLOCS),
                            label="cudaMalloc-load"))
         return feats, trace, stats

@@ -162,10 +162,11 @@ class TrainingSystem:
         return samples, trace
 
     def _load(
-        self, requests, gather: bool = True
+        self, requests, gather: bool = True, lost: frozenset = frozenset()
     ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
-        """Load (``gather=False``: only price) the batch's features."""
-        return self.loader.load(requests, gather=gather)
+        """Load (``gather=False``: only price) the batch's features;
+        ``lost`` cache peers' rows fail over to the cold path."""
+        return self.loader.load(requests, gather=gather, lost=lost)
 
     def _batch_overhead(self) -> float:
         """Per-batch software overhead (allocator costs, §7.2)."""
@@ -378,13 +379,11 @@ class TrainingSystem:
         """Return the state a serving run mutates to its baseline.
 
         Sampler RNG streams go back to their built state (every point
-        samples the same neighbourhoods), the dynamic cache policy and
-        the store it mutates to the post-warmup placement, and the plan
-        cache to empty — hit/miss counts reach the metrics layer, so
-        they must be a pure function of the point too.  Every serving
-        point and every replica pass calls this first, which makes a
-        point's report independent of which points (or which worker)
-        ran before it.
+        samples the same neighbourhoods), and the dynamic cache policy
+        and the store it mutates to the post-warmup placement.  Every
+        serving point and every replica pass calls this first, which
+        makes a point's report independent of which points (or which
+        worker) ran before it.
         """
         rngs = getattr(self.sampler, "rngs", None)
         if rngs is not None:

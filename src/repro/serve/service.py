@@ -44,7 +44,6 @@ from repro.engine.simulator import Timeout
 from repro.nn import Tensor
 from repro.sampling.ops import LocalKernel, OpTrace
 from repro.serve.batcher import AdmissionBatcher, BatcherConfig
-from repro.serve.degrade import degraded_loader
 from repro.serve.stats import RequestRecord, ServeReport, build_report
 from repro.serve.workload import Request
 from repro.utils.errors import ConfigError, count, nested, positive
@@ -111,7 +110,7 @@ class _Batch:
         self.samples = None
         self.feats = None
         self.stages: dict = {}
-        self.degraded = False  # served via a failover path
+        self.degraded = False  # a lost cache peer held some of its rows
 
 
 class GNNServer:
@@ -174,8 +173,8 @@ class GNNServer:
         inj = self.injector
         if inj is not None:
             inj.install(sim)
-        # failover loaders per lost-peer set, built lazily on first use
-        failover_loaders: dict = {}
+        #: lost-peer set -> whether the lost peers held cached rows
+        degrading: dict = {}
 
         gpus = GpuExecutor(sim, k, system.cluster.gpu.total_threads,
                            cfg.comm_channels, prefix="serve-gpu",
@@ -285,25 +284,20 @@ class GNNServer:
                     return
                 t0 = sim.now
                 reqs = [s.all_nodes for s in batch.samples]
-                failover = None
-                if inj is not None:
-                    lost = inj.lost_peers()
-                    if lost:
-                        if lost not in failover_loaders:
-                            failover_loaders[lost] = degraded_loader(
-                                system, lost)
-                        failover = failover_loaders[lost]
-                if failover is not None:
-                    # lost cache peer: serve the batch over the UVA
-                    # cold path instead of the dead shard
-                    feats, trace, stats = failover.load(
-                        reqs, gather=cfg.functional)
-                    batch.degraded = True
-                    if probe is not None:
-                        probe.degraded_load(track, batch.bid, lost)
-                else:
-                    feats, trace, stats = system._load(
-                        reqs, gather=cfg.functional)
+                lost = frozenset() if inj is None else inj.lost_peers()
+                if lost:
+                    # a lost cache peer's rows fail over to the UVA cold
+                    # path; the batch is degraded if the peer held any
+                    if lost not in degrading:
+                        store = getattr(system.loader, "store", None)
+                        degrading[lost] = store is not None and any(
+                            len(store.cached_nodes(p)) for p in lost)
+                    if degrading[lost]:
+                        batch.degraded = True
+                        if probe is not None:
+                            probe.degraded_load(track, batch.bid, lost)
+                feats, trace, stats = system._load(
+                    reqs, gather=cfg.functional, lost=lost)
                 yield from run_trace(g, trace, "load", batch.bid, track)
                 dyn = stats.pop("dynamic", None)
                 if probe is not None:

@@ -231,13 +231,13 @@ class TestPlanDedup:
     def test_unsorted_or_duplicated_goes_through_unique(self, setting, req):
         features, store = setting
         req = np.array(req, dtype=np.int64)
-        plan = FeatureLoader(features, store)._plan(0, req, 3)
+        plan = FeatureLoader(features, store)._plan(0, req, store)
         np.testing.assert_array_equal(plan.nodes, np.unique(req))
 
     def test_sorted_unique_request_passes_through(self, setting):
         features, store = setting
         req = np.array([0, 3, 4, 11], dtype=np.int64)
-        plan = FeatureLoader(features, store)._plan(0, req, 3)
+        plan = FeatureLoader(features, store)._plan(0, req, store)
         np.testing.assert_array_equal(plan.nodes, req)
 
     @pytest.mark.parametrize("req", [[0, 3, 4, 11], [11, 0, 4, 4]])
@@ -249,7 +249,7 @@ class TestPlanDedup:
         loader = FeatureLoader(features, store)
         req = np.array(req, dtype=np.int64)
         loader.load([req, req, req])
-        plan = loader._plan(0, req, 3)
+        plan = loader._plan(0, req, store)
         assert not plan.nodes.flags.writeable
         with pytest.raises(ValueError):
             plan.nodes[0] = 1

@@ -105,7 +105,7 @@ class _ScriptedSystem:
         seeds = per_gpu[0]
         return [SimpleNamespace(seeds=seeds, all_nodes=seeds)], "sample"
 
-    def _load(self, reqs, gather):
+    def _load(self, reqs, gather, lost):
         return None, "load", {}
 
     def trace_cost(self, trace):

@@ -1,15 +1,18 @@
 """Tests for replicated multi-server DSP (paper §3.2)."""
 
+import dataclasses
 import json
 import pathlib
 
 import numpy as np
 import pytest
 
+from repro.cache.loader import ID_BYTES
 from repro.cluster import ReplicatedDSP
 from repro.core import RunConfig
 from repro.core.system import DSP
 from repro.hw.network import NICSpec
+from repro.sampling.ops import NetworkTransfer
 from repro.utils import ConfigError
 
 
@@ -115,6 +118,49 @@ class TestMultiMachine:
         for got, want in zip(mm.models, ref.models):
             for a, b in zip(got.state(), want.state()):
                 np.testing.assert_array_equal(a, b)
+
+
+def _assert_same_ops(ops, want):
+    assert len(ops) == len(want)
+    for op, want_op in zip(ops, want):
+        assert type(op) is type(want_op)
+        for f in dataclasses.fields(op):
+            np.testing.assert_array_equal(getattr(op, f.name),
+                                          getattr(want_op, f.name))
+
+
+class TestLoadIsTheLoaders:
+    """On 2 servers the load is DSP's loader, every op of it, plus one
+    network branch for the cold rows on the other server's shard."""
+
+    def test_loader_ops_plus_network_branch(self):
+        cfg = CFG.with_(num_nodes=2, compress="fp16", dynamic_cache=True,
+                        feature_cache_bytes=3200, cache_window=2)
+        mm, twin = ReplicatedDSP(cfg), ReplicatedDSP(cfg)
+        wire = mm.loader.wire_row_bytes
+        assert wire < mm.loader.row_bytes
+        labels = set()
+        for batch in mm._global_batches()[:9]:
+            samples, _ = mm._sample(mm._assign_seeds(batch))
+            reqs = [s.all_nodes for s in samples]
+            _, trace, stats = mm._load(reqs, gather=False)
+            _, want, _ = twin.loader.load(reqs, gather=False)
+            (group, *rest), (want_group, *want_rest) = trace.ops, want.ops
+            _assert_same_ops(rest, want_rest)  # the codec's decode kernel
+            *branches, (net,) = group.branches
+            assert len(branches) == len(want_group.branches)
+            for branch, want_branch in zip(branches, want_group.branches):
+                _assert_same_ops(branch, want_branch)
+            assert isinstance(net, NetworkTransfer)
+            # one id out and one row back, in the loader's wire format
+            rows = net.matrix[0, 1:] / ID_BYTES
+            np.testing.assert_array_equal(net.matrix[1:, 0], rows * wire)
+            assert stats["cold_remote"] == rows.sum()
+            (cold,) = [op for op in branches[1] if op.label == "feat-cold"]
+            assert cold.items.sum() == stats["cold"]
+            assert cold.item_bytes == wire
+            labels |= {op.label for op in trace.flat_ops()}
+        assert {"cache-fill", "feat-decode"} <= labels
 
 
 class TestFrozenEpochCosts:
