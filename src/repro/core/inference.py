@@ -50,7 +50,7 @@ def full_graph_inference(
     else:
         owner = np.zeros(n, dtype=np.int64)
 
-    h = data.features.astype(np.float32)
+    h = np.array(data.features, dtype=np.float32)
     dst_all = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
 
     # Layer-independent boundary accounting, hoisted out of the layer

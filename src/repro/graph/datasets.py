@@ -117,13 +117,45 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 }
 
 
+class PermutedRows:
+    """The rows ``base[order]``, copied on the first row read.
+
+    Shape, dtype and byte size answer without the copy, so a run that
+    only prices feature loads (cost-only epochs, non-functional
+    serving) never builds it.  The first row read builds the contiguous
+    matrix once; every later read indexes that matrix, as a plain array
+    would.
+    """
+
+    def __init__(self, base: np.ndarray, order: np.ndarray):
+        self._base, self._order = base, order
+        self._rows: np.ndarray | None = None
+        self.dtype = base.dtype
+        self.shape = (len(order), *base.shape[1:])
+        self.ndim = len(self.shape)
+        self.nbytes = int(np.prod(self.shape)) * self.dtype.itemsize
+
+    def rows(self) -> np.ndarray:
+        """The permuted matrix, built on the first call."""
+        if self._rows is None:
+            self._rows = self._base[self._order]
+            self._base = self._order = None
+        return self._rows
+
+    def __getitem__(self, index):
+        return self.rows()[index]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.rows(), dtype=dtype, copy=copy)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A loaded dataset: graph + node features + labels + splits."""
 
     name: str
     graph: CSRGraph
-    features: np.ndarray  # float32[num_nodes, feature_dim]
+    features: np.ndarray | PermutedRows  # float32[num_nodes, feature_dim]
     labels: np.ndarray  # int64[num_nodes]
     train_nodes: np.ndarray
     val_nodes: np.ndarray
@@ -144,13 +176,14 @@ class Dataset:
         return self.features.nbytes
 
     def permuted(self, old_to_new: np.ndarray, graph: CSRGraph) -> "Dataset":
-        """The same dataset under a node renumbering (see reorder module)."""
+        """The same dataset under a node renumbering (see reorder module);
+        its features are copied on the first row read."""
         new_to_old = np.empty_like(old_to_new)
         new_to_old[old_to_new] = np.arange(len(old_to_new))
         return Dataset(
             name=self.name,
             graph=graph,
-            features=self.features[new_to_old],
+            features=PermutedRows(self.features, new_to_old),
             labels=self.labels[new_to_old],
             train_nodes=np.sort(old_to_new[self.train_nodes]),
             val_nodes=np.sort(old_to_new[self.val_nodes]),

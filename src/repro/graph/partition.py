@@ -18,6 +18,7 @@ the partitioning ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -150,7 +151,8 @@ def ldg_partition(
 # ----------------------------------------------------------------------
 # Every kernel below is exact: adjacency weights are integer-valued
 # (edge counts and sums of them; float64 out of _symmetrized_adjacency
-# and _contract, int32 on the levels metis_partition keeps), so any
+# and _contract, int32 on the levels metis_partition matches and
+# refines, and narrower on the levels it keeps packed), so any
 # summation order gives the same number, and the random draws are the
 # ones a plain sequential implementation makes, in the same order.
 def metis_partition(
@@ -185,11 +187,14 @@ def metis_partition(
     coarsest_size = max(64 * num_parts, 256)
 
     # ---- coarsening phase ------------------------------------------------
-    levels: list[tuple[sp.csr_matrix, np.ndarray, np.ndarray]] = []
+    # Each kept level is packed before it is contracted (contraction
+    # reads the packed arrays), so the int32 copy is freed first.
+    levels: list[tuple[_PackedCSR, np.ndarray, np.ndarray]] = []
     while adj.shape[0] > coarsest_size:
         mapping, n_coarse = _heavy_edge_matching(adj, rng)
         if n_coarse >= adj.shape[0] * 0.95:  # matching stalled
             break
+        adj = _PackedCSR.pack(adj)
         levels.append((adj, node_w, mapping))
         adj, node_w = _contract(adj, node_w, mapping, n_coarse, np.int32)
 
@@ -200,20 +205,70 @@ def metis_partition(
     # ---- uncoarsening + refinement ---------------------------------------
     while levels:  # popping frees each coarse level once a finer one takes over
         fine_adj, fine_w, mapping = levels.pop()
-        assignment = _refine(fine_adj, fine_w, assignment[mapping], num_parts, rng)
+        assignment = _refine(fine_adj.unpack(), fine_w, assignment[mapping], num_parts, rng)
 
     return Partition(assignment, num_parts)
+
+
+class _PackedCSR(NamedTuple):
+    """A coarsening level kept for uncoarsening, stored in the narrowest
+    dtypes that hold its column ids and weights exactly.
+
+    Below the finest levels n fits uint16 and the weights uint8 or
+    uint16, so the stack takes about half the bytes of int32 ids plus
+    int32 weights.  :meth:`unpack` restores the CSR :func:`_coalesce`
+    built, dtypes included; :func:`_contract` reads the packed arrays
+    as they are.
+    """
+
+    shape: tuple[int, int]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    dtypes: tuple[np.dtype, np.dtype]  # (indices, data) as built
+
+    @classmethod
+    def pack(cls, adj: sp.csr_matrix) -> _PackedCSR:
+        top_w = int(adj.data.max()) if adj.nnz else 0
+        return cls(adj.shape, adj.indptr, _narrowed(adj.indices, adj.shape[1] - 1),
+                   _narrowed(adj.data, top_w), (adj.indices.dtype, adj.data.dtype))
+
+    def unpack(self) -> sp.csr_matrix:
+        ids, weights = self.dtypes
+        return sp.csr_matrix(
+            (self.data.astype(weights, copy=False),
+             self.indices.astype(ids, copy=False), self.indptr),
+            shape=self.shape,
+        )
+
+
+def _narrowed(a: np.ndarray, top: int) -> np.ndarray:
+    """``a`` (values in ``[0, top]``) in the narrowest unsigned dtype
+    holding ``top``, or ``a`` itself if that is no narrower."""
+    dtype = np.min_scalar_type(max(top, 0))
+    return a.astype(dtype) if dtype.itemsize < a.itemsize else a
 
 
 def _symmetrized_adjacency(graph: CSRGraph) -> sp.csr_matrix:
     """Undirected weighted adjacency: weight = #directed edges between the pair."""
     n = graph.num_nodes
-    dst = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    ids = np.int32 if n <= np.iinfo(np.int32).max else np.int64
     # both directions, duplicates summed and self-loops (no cut weight)
-    # dropped: the entries of A + A.T off the diagonal
-    return _coalesce(
-        np.concatenate([dst, graph.indices]), np.concatenate([graph.indices, dst]), n
-    )
+    # dropped: the entries of A + A.T off the diagonal.  Each list is
+    # one buffer that only _coalesce holds, so the rows become its sort
+    # keys in place and the columns are freed once packed.
+    return _coalesce(_both_ways(graph, np.int64), _both_ways(graph, ids, swap=True), n)
+
+
+def _both_ways(graph: CSRGraph, dtype: type, swap: bool = False) -> np.ndarray:
+    """``[dst, src]`` of every edge, one ``dtype`` array (``swap``:
+    ``[src, dst]``)."""
+    nnz = graph.num_edges
+    out = np.empty(2 * nnz, dtype=dtype)
+    dst, src = (out[nnz:], out[:nnz]) if swap else (out[:nnz], out[nnz:])
+    dst[:] = np.repeat(np.arange(graph.num_nodes, dtype=dtype), graph.degrees)
+    src[:] = graph.indices
+    return out
 
 
 def _coalesce(
@@ -474,7 +529,7 @@ def _first_heaviest_free(
 
 
 def _contract(
-    adj: sp.csr_matrix,
+    adj: sp.csr_matrix | _PackedCSR,
     node_w: np.ndarray,
     mapping: np.ndarray,
     n_coarse: int,

@@ -20,9 +20,12 @@ class SGD:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        #: momentum buffers, allocated by the first step
+        self._velocity: list[np.ndarray] | None = None
 
     def step(self) -> None:
+        if self._velocity is None:
+            self._velocity = _zeros_like(self.params)
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
@@ -53,11 +56,15 @@ class Adam:
         self.params = list(params)
         self.lr, self.b1, self.b2, self.eps = lr, b1, b2, eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        #: moment buffers, allocated by the first step: a system that
+        #: never steps (cost-only, serving) holds none
+        self._m: list[np.ndarray] | None = None
+        self._v: list[np.ndarray] | None = None
         self._t = 0
 
     def step(self) -> None:
+        if self._m is None:
+            self._m, self._v = _zeros_like(self.params), _zeros_like(self.params)
         self._t += 1
         bc1 = 1.0 - self.b1**self._t
         bc2 = 1.0 - self.b2**self._t
@@ -76,3 +83,9 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+def _zeros_like(params: list[Parameter]) -> list[np.ndarray]:
+    """One zero buffer per parameter; steps update them in place, so a
+    first step computes exactly what a zero-initialised state would."""
+    return [np.zeros_like(p.data) for p in params]

@@ -125,8 +125,9 @@ class TestClusterChaosMatrix:
                                  max_batches=2, requests=32, qps=2000.0)
 
     def test_cache_peer_loss_serves(self):
-        """The failover loader's cross-server trace is priced lowered,
-        like every other trace on a cluster engine."""
+        """A load with a lost cache peer (``lost=`` on the system's own
+        load) is priced lowered, like every other trace on a cluster
+        engine."""
         from repro.chaos.scenarios import run_scenario
 
         r = run_scenario("DSP", "cache-peer-loss", CHAOS_CFG,
