@@ -20,6 +20,7 @@ GPU.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +67,30 @@ class FeaturePlan:
     n_remote: int
     n_cold: int
     remote_row: np.ndarray  # remote hits per holder GPU [k], int64
+
+
+class FeatureRows(Sequence):
+    """The per-GPU feature matrices of one load: ``rows[g]`` copies
+    ``features[nodes[g]]``, codec round trip on the rows not placed
+    local, and keeps no reference to it.  Placements are the load's
+    plan, so a late index gathers what the load priced."""
+
+    def __init__(self, features, nodes: list[np.ndarray], codec=None,
+                 placements: list[np.ndarray] | None = None):
+        self._features, self._nodes = features, nodes
+        self._codec, self._placements = codec, placements
+
+    def __len__(self) -> int:
+        return len(self._nodes)
+
+    def __getitem__(self, g: int) -> np.ndarray:
+        rows = self._features[self._nodes[g]]
+        if self._codec is not None:
+            miss = self._placements[g] != Placement.LOCAL
+            if miss.any():
+                # fancy indexing above copied, so in-place is safe
+                rows[miss] = self._codec.apply(rows[miss])
+        return rows
 
 
 class FeatureLoader:
@@ -124,21 +149,18 @@ class FeatureLoader:
                            remote_row)
 
     def load(
-        self, requests_per_gpu: list[np.ndarray], gather: bool = True,
+        self, requests_per_gpu: list[np.ndarray],
         lost: frozenset = frozenset(),
-    ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
+    ) -> tuple[FeatureRows, OpTrace, dict]:
         """Fetch features for each GPU's request list.
 
-        Returns per-GPU feature matrices (functionally exact), the op
-        trace, and hit-statistics
+        Returns the per-GPU feature matrices as a :class:`FeatureRows`
+        (functionally exact; a row is copied only when a GPU's matrix
+        is indexed), the op trace, and hit-statistics
         ``{"local": n, "remote": n, "cold": n}`` plus the payload bytes
         each path served (``*_bytes`` keys; the obs layer exports them
-        as cache counters).
-
-        ``gather=False`` is the cost-only path: no row is copied and
-        the matrices come back as ``None``.  Trace, stats and the
-        dynamic-policy feed derive from the plan alone, so they are
-        identical either way.
+        as cache counters).  Trace, stats and the dynamic-policy feed
+        derive from the plan alone.
 
         ``lost`` names GPUs whose cache shard is gone (a lost cache
         peer): for this call their rows are planned as cold, so they
@@ -150,7 +172,6 @@ class FeatureLoader:
             raise ConfigError("need one request array per GPU")
         store = DegradedStore(self.store, lost) if lost else self.store
 
-        out: list[np.ndarray] | None = [] if gather else None
         local_bytes = np.zeros(k, dtype=np.float64)
         decode_bytes = np.zeros(k, dtype=np.float64)
         cold_items = np.zeros(k, dtype=np.float64)
@@ -165,18 +186,10 @@ class FeatureLoader:
             plans.append(plan)
             # rows that are not local travel a link and get the codec
             # roundtrip
-            decode = codec is not None and plan.n_remote + plan.n_cold > 0
-            if decode:
+            if codec is not None:
                 decode_bytes[g] = (
                     (plan.n_remote + plan.n_cold) * self.row_bytes
                 )
-            if gather:
-                rows = self.features[plan.nodes]
-                if decode:
-                    # fancy indexing above copied, so in-place is safe
-                    miss = plan.placement != Placement.LOCAL
-                    rows[miss] = codec.apply(rows[miss])
-                out.append(rows)
             stats["local"] += plan.n_local
             stats["remote"] += plan.n_remote
             stats["cold"] += plan.n_cold
@@ -232,7 +245,9 @@ class FeatureLoader:
         totals["remote"] += stats["remote"]
         totals["cold"] += stats["cold"]
         totals["cold_bytes"] += stats["cold_bytes"]
-        return out, trace, stats
+        rows = FeatureRows(self.features, [p.nodes for p in plans], codec,
+                           [p.placement for p in plans])
+        return rows, trace, stats
 
 
 class HostGatherLoader:
@@ -248,26 +263,22 @@ class HostGatherLoader:
         self.row_bytes = features.shape[1] * features.dtype.itemsize
 
     def load(
-        self, requests_per_gpu: list[np.ndarray], gather: bool = True,
+        self, requests_per_gpu: list[np.ndarray],
         lost: frozenset = frozenset(),
-    ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
+    ) -> tuple[FeatureRows, OpTrace, dict]:
         """Host-gather + bulk-copy features for each GPU's request list
-        (``gather=False``: price only, matrices ``None``).  There is no
-        GPU cache to lose, so ``lost`` changes nothing."""
+        (rows as a :class:`FeatureRows`, copied when indexed).  There is
+        no GPU cache to lose, so ``lost`` changes nothing."""
         if len(requests_per_gpu) != self.num_gpus:
             raise ConfigError("need one request array per GPU")
-        out = [] if gather else None
-        nbytes = np.zeros(self.num_gpus, dtype=np.float64)
-        total = 0
-        for g, req in enumerate(requests_per_gpu):
-            nodes = dedup(req)
-            if gather:
-                out.append(self.features[nodes])
-            nbytes[g] = len(nodes) * self.row_bytes
-            total += len(nodes)
+        nodes = [dedup(req) for req in requests_per_gpu]
+        nbytes = np.array([len(n) * self.row_bytes for n in nodes],
+                          dtype=np.float64)
+        total = sum(len(n) for n in nodes)
         trace = OpTrace()
         trace.add(HostWork(nbytes.copy(), kind="gather", label="feat-host-gather"))
         trace.add(PCIeCopy(nbytes, to_device=True, label="feat-h2d"))
-        return out, trace, {"local": 0, "remote": 0, "cold": total,
-                            "local_bytes": 0, "remote_bytes": 0,
-                            "cold_bytes": total * self.row_bytes}
+        rows = FeatureRows(self.features, nodes)
+        return rows, trace, {"local": 0, "remote": 0, "cold": total,
+                             "local_bytes": 0, "remote_bytes": 0,
+                             "cold_bytes": total * self.row_bytes}

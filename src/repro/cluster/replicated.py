@@ -13,7 +13,7 @@ row on another server's shard crosses the network (one request, one
 row back) instead of local UVA; gradients ring over NVLink, then over
 the NICs.  Servers do symmetric work, so the simulated hardware is one
 DGX-1 (server 0) plus its NIC traffic.  The global mini-batch grows
-with the server count, and server 0's ``num_gpus`` replicas train
+with the server count, and server 0's ``num_gpus`` GPUs train
 functionally on server 0's slice of every global batch.
 """
 
@@ -45,15 +45,14 @@ class ReplicatedDSP(DSP):
         """Server 0 takes its slice, then co-partitions per GPU."""
         return super()._assign_seeds(seeds[:: self.config.num_nodes])
 
-    def _load(self, requests, gather=True, lost=frozenset()):
+    def _load(self, requests, lost=frozenset()):
         """DSP's load, plus a network branch: a cold row on another
         server's shard (node ``v``'s on server ``v % num_nodes``) costs
         one request and one row, in the loader's wire format, to that
         server.  Every cold row still crosses the PCIe (from host
         memory, or from the NIC on its last hop): the loader's own cold
         path prices it."""
-        feats, trace, stats = super()._load(requests, gather=gather,
-                                            lost=lost)
+        feats, trace, stats = super()._load(requests, lost=lost)
         M = self.config.num_nodes
         if M == 1:
             return feats, trace, stats
@@ -70,7 +69,7 @@ class ReplicatedDSP(DSP):
         return feats, trace, stats
 
     def _train_batch(self, samples, feats, functional):
-        """Server 0's replicas take a BSP step on server 0's slice; the
+        """Server 0's GPUs take a BSP step on server 0's slice; the
         trace adds the cross-server gradient ring."""
         trace, loss, acc = super()._train_batch(samples, feats, functional)
         M = self.config.num_nodes

@@ -117,9 +117,8 @@ class Quiver(TrainingSystem):
                            label="cudaMalloc-sample"))
         return samples, trace
 
-    def _load(self, requests, gather=True, lost=frozenset()):
-        feats, trace, stats = super()._load(requests, gather=gather,
-                                            lost=lost)
+    def _load(self, requests, lost=frozenset()):
+        feats, trace, stats = super()._load(requests, lost=lost)
         trace.add(Overhead(self._alloc_stall(self.LOAD_ALLOCS),
                            label="cudaMalloc-load"))
         return feats, trace, stats

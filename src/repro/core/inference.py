@@ -38,7 +38,7 @@ def full_graph_inference(
         raise ConfigError("chunk_size must be positive")
     data = system.data
     graph = data.graph
-    model = system.models[0]
+    model = system.model
     n = graph.num_nodes
     k = system.k
     trace = OpTrace()

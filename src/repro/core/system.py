@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.loader import FeatureLoader
+from repro.cache.loader import FeatureLoader, FeatureRows
 from repro.cache.policies import get_policy
 from repro.core.config import RunConfig
 from repro.core.cost import CostEngine
@@ -31,7 +31,6 @@ from repro.nn import (
     Tensor,
     accuracy,
     allreduce_gradients,
-    clone_model,
     cross_entropy,
     gradient_nbytes,
 )
@@ -99,17 +98,17 @@ class TrainingSystem:
         self._warm_applied = False
         self._prepare()  # sets self.data, self.sampler, self.loader
 
-        model_cls = MODELS[config.model]
-        base = model_cls(
+        #: one parameter set for the k GPUs' replicas: BSP steps all with
+        #: one mean gradient, and no system uses dropout, so they never differ
+        self.model = MODELS[config.model](
             self.data.feature_dim,
             config.hidden_dim,
             self.data.num_classes,
             num_layers=config.num_layers,
             seed=config.seed,
         )
-        self.models = clone_model(base, self.k)
-        self.opts = [Adam(m.parameters(), lr=config.lr) for m in self.models]
-        self.grad_nbytes = gradient_nbytes(base)
+        self.opt = Adam(self.model.parameters(), lr=config.lr)
+        self.grad_nbytes = gradient_nbytes(self.model)
         self.batches_seen = 0
 
     # -- architecture hooks (subclasses override) -----------------------
@@ -162,11 +161,12 @@ class TrainingSystem:
         return samples, trace
 
     def _load(
-        self, requests, gather: bool = True, lost: frozenset = frozenset()
-    ) -> tuple[list[np.ndarray] | None, OpTrace, dict]:
-        """Load (``gather=False``: only price) the batch's features;
-        ``lost`` cache peers' rows fail over to the cold path."""
-        return self.loader.load(requests, gather=gather, lost=lost)
+        self, requests, lost: frozenset = frozenset()
+    ) -> tuple[FeatureRows, OpTrace, dict]:
+        """Price the batch's feature load; its rows gather per GPU
+        when indexed.  ``lost`` cache peers' rows fail over to the cold
+        path."""
+        return self.loader.load(requests, lost=lost)
 
     def _batch_overhead(self) -> float:
         """Per-batch software overhead (allocator costs, §7.2)."""
@@ -192,36 +192,49 @@ class TrainingSystem:
 
     def _train_batch(
         self, samples: list[MiniBatchSample],
-        feats: list[np.ndarray] | None, functional: bool,
+        feats: FeatureRows | None, functional: bool,
     ) -> tuple[OpTrace, float, float]:
         """Run (or price) one BSP step; returns (trace, loss, accuracy).
-        ``feats`` is only read when ``functional``."""
+
+        Only ``functional`` reads ``feats[g]``, one GPU at a time: GPU
+        ``g``'s rows and graph die before GPU ``g + 1``'s gather.  The
+        allreduce averages each GPU's gradient list into the one
+        parameter set for one optimizer step; a GPU without seeds adds
+        what its replica still holds, the previous step's mean.
+        """
         flops = np.zeros(self.k)
         losses, accs, weights = [], [], []
         total_seeds = sum(len(s.seeds) for s in samples)
+        params = self.model.parameters()
+        idle = [p.grad for p in params]
+        grads = []
         for g, sample in enumerate(samples):
             # forward + backward ~ 3x forward FLOPs
             flops[g] = (
-                3.0 * self.models[g].forward_flops(sample)
+                3.0 * self.model.forward_flops(sample)
                 * COMPUTE_DEDUP_CORRECTION
             )
-            if not functional or len(sample.seeds) == 0:
+            if not functional:
+                continue
+            if len(sample.seeds) == 0:
+                grads.append(idle)
                 continue
             labels = self.data.labels[sample.seeds]
-            out = self.models[g](sample, Tensor(feats[g]))
+            out = self.model(sample, Tensor(feats[g]))
             loss = cross_entropy(out, labels)
             # BSP exactness: scale so the allreduce *mean* equals the
             # global-batch gradient even when per-GPU batches differ
             scale = len(sample.seeds) * self.k / total_seeds
-            self.opts[g].zero_grad()
+            self.opt.zero_grad()
             (loss * scale).backward()
+            grads.append([p.grad for p in params])
             losses.append(loss.item() * len(sample.seeds))
             accs.append(accuracy(out, labels) * len(sample.seeds))
             weights.append(len(sample.seeds))
+            del out, loss  # GPU g's graph dies before g + 1 gathers
         if functional and weights:
-            allreduce_gradients(self.models)
-            for opt in self.opts:
-                opt.step()
+            allreduce_gradients(params, grads)
+            self.opt.step()
         trace = OpTrace()
         trace.add(LocalKernel("compute", flops, label="train-compute"))
         trace.add(AllReduce(self.grad_nbytes, label="grad-allreduce"))
@@ -269,7 +282,7 @@ class TrainingSystem:
             per_gpu = self._assign_seeds(seeds)
             samples, s_trace = self._sample(per_gpu)
             requests = [s.all_nodes for s in samples]
-            feats, l_trace, stats = self._load(requests, gather=functional)
+            feats, l_trace, stats = self._load(requests)
             t_trace, loss, acc = self._train_batch(samples, feats, functional)
             self.batches_seen += 1
             losses.append(loss)
@@ -352,27 +365,24 @@ class TrainingSystem:
     def save_checkpoint(self, path) -> None:
         """Persist model parameters and training progress to ``path``.
 
-        BSP keeps every replica identical, so one copy of the
-        parameters suffices.  Use :meth:`load_checkpoint` to resume.
+        BSP keeps every replica identical, so the one parameter set is
+        the whole model.  Use :meth:`load_checkpoint` to resume.
         """
         import os
 
-        arrays = {
-            f"param_{i}": a for i, a in enumerate(self.models[0].state())
-        }
+        arrays = {f"param_{i}": a for i, a in enumerate(self.model.state())}
         arrays["batches_seen"] = np.array([self.batches_seen])
         tmp = str(path) + ".tmp"
         np.savez(tmp, **arrays)
         os.replace(tmp if tmp.endswith(".npz") else tmp + ".npz", str(path))
 
     def load_checkpoint(self, path) -> None:
-        """Restore parameters (into every replica) and progress."""
+        """Restore parameters and progress."""
         with np.load(str(path)) as z:
             n = len([k for k in z.files if k.startswith("param_")])
             state = [z[f"param_{i}"] for i in range(n)]
             self.batches_seen = int(z["batches_seen"][0])
-        for model in self.models:
-            model.load_state(state)
+        self.model.load_state(state)
 
     # -- serving points -----------------------------------------------------
     def reset_point(self) -> None:
@@ -411,8 +421,8 @@ class TrainingSystem:
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, nodes: np.ndarray, batch: int = 256) -> float:
-        """Accuracy on ``nodes`` using the trained replica 0."""
-        model = self.models[0]
+        """Accuracy on ``nodes`` using the trained model."""
+        model = self.model
         correct = total = 0
         for i in range(0, len(nodes), batch):
             chunk = nodes[i : i + batch]

@@ -118,35 +118,27 @@ DATASET_SPECS: dict[str, DatasetSpec] = {
 
 
 class PermutedRows:
-    """The rows ``base[order]``, copied on the first row read.
+    """The rows ``base[order]``, read through ``order`` and never copied
+    whole.
 
-    Shape, dtype and byte size answer without the copy, so a run that
-    only prices feature loads (cost-only epochs, non-functional
-    serving) never builds it.  The first row read builds the contiguous
-    matrix once; every later read indexes that matrix, as a plain array
-    would.
+    Shape, dtype and byte size answer without reading a row; a row read
+    ``rows[index]`` returns ``base[order[index]]``, the same values a
+    permuted copy would give, while only ``base`` stays resident.
     """
 
     def __init__(self, base: np.ndarray, order: np.ndarray):
         self._base, self._order = base, order
-        self._rows: np.ndarray | None = None
         self.dtype = base.dtype
         self.shape = (len(order), *base.shape[1:])
         self.ndim = len(self.shape)
         self.nbytes = int(np.prod(self.shape)) * self.dtype.itemsize
 
-    def rows(self) -> np.ndarray:
-        """The permuted matrix, built on the first call."""
-        if self._rows is None:
-            self._rows = self._base[self._order]
-            self._base = self._order = None
-        return self._rows
-
     def __getitem__(self, index):
-        return self.rows()[index]
+        return self._base[self._order[index]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.rows(), dtype=dtype, copy=copy)
+        """A fresh permuted copy (whole-matrix readers only)."""
+        return np.asarray(self._base[self._order], dtype=dtype)
 
 
 @dataclass(frozen=True)
@@ -177,7 +169,7 @@ class Dataset:
 
     def permuted(self, old_to_new: np.ndarray, graph: CSRGraph) -> "Dataset":
         """The same dataset under a node renumbering (see reorder module);
-        its features are copied on the first row read."""
+        its features read through the renumbering, never copied."""
         new_to_old = np.empty_like(old_to_new)
         new_to_old[old_to_new] = np.arange(len(old_to_new))
         return Dataset(

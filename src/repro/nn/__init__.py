@@ -19,7 +19,7 @@ from repro.nn.modules import Linear, Module, Parameter
 from repro.nn.gnn import GCN, GAT, GraphSAGE, GATConv, GCNConv, SAGEConv
 from repro.nn.loss import accuracy, cross_entropy
 from repro.nn.optim import SGD, Adam
-from repro.nn.parallel import allreduce_gradients, gradient_nbytes, clone_model
+from repro.nn.parallel import allreduce_gradients, gradient_nbytes
 
 __all__ = [
     "Tensor",
@@ -39,5 +39,4 @@ __all__ = [
     "Adam",
     "allreduce_gradients",
     "gradient_nbytes",
-    "clone_model",
 ]

@@ -3,25 +3,18 @@
 Every GPU holds a model replica; after the backward pass the trainers
 allreduce (average) gradients so each replica takes an identical
 optimizer step — the BSP semantics that make DSP's accuracy-per-batch
-curve coincide with the baselines' (Fig 9a).
+curve coincide with the baselines' (Fig 9a).  Identical steps keep the
+replicas identical, so one parameter set stands for all of them: each
+GPU's backward leaves its own gradient list, and the allreduce writes
+their mean into the shared parameters.
 """
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
-from repro.nn.modules import Module
+from repro.nn.modules import Module, Parameter
 from repro.utils.errors import ReproError
-
-
-def clone_model(model: Module, n: int) -> list[Module]:
-    """``n`` independent replicas with identical initial parameters
-    (``n == 0`` yields an empty list)."""
-    if n < 0:
-        raise ReproError("replica count must be non-negative")
-    return [copy.deepcopy(model) for _ in range(n)]
 
 
 def gradient_nbytes(model: Module) -> int:
@@ -29,26 +22,19 @@ def gradient_nbytes(model: Module) -> int:
     return model.state_nbytes()
 
 
-def allreduce_gradients(models: list[Module]) -> None:
-    """Average gradients in place across replicas.
-
-    Replicas whose parameter ``grad`` is ``None`` contribute zero (they
-    had no work this step), matching NCCL allreduce semantics where
-    every rank must participate.
-    """
-    if not models:
-        raise ReproError("no replicas")
-    param_lists = [m.parameters() for m in models]
-    n_params = len(param_lists[0])
-    if any(len(pl) != n_params for pl in param_lists):
-        raise ReproError("replicas have different parameter counts")
-    k = len(models)
-    for i in range(n_params):
-        grads = [
-            pl[i].grad for pl in param_lists if pl[i].grad is not None
-        ]
-        if not grads:
-            continue
-        mean = np.sum(grads, axis=0) / k
-        for pl in param_lists:
-            pl[i].grad = mean.copy()
+def allreduce_gradients(
+    params: list[Parameter], grads_per_gpu: list[list[np.ndarray | None]]
+) -> None:
+    """Set ``params[i].grad`` to the mean over GPUs ``g``, summed in GPU
+    order, of ``grads_per_gpu[g][i]``.  A ``None`` entry contributes
+    zero (NCCL semantics: every rank participates); a parameter no GPU
+    has a gradient for keeps its ``grad``."""
+    if not grads_per_gpu:
+        raise ReproError("need at least one GPU's gradients")
+    if any(len(gl) != len(params) for gl in grads_per_gpu):
+        raise ReproError("every GPU needs one gradient per parameter")
+    k = len(grads_per_gpu)
+    for i, p in enumerate(params):
+        grads = [gl[i] for gl in grads_per_gpu if gl[i] is not None]
+        if grads:
+            p.grad = np.sum(grads, axis=0) / k

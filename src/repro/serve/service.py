@@ -296,8 +296,7 @@ class GNNServer:
                         batch.degraded = True
                         if probe is not None:
                             probe.degraded_load(track, batch.bid, lost)
-                feats, trace, stats = system._load(
-                    reqs, gather=cfg.functional, lost=lost)
+                feats, trace, stats = system._load(reqs, lost=lost)
                 yield from run_trace(g, trace, "load", batch.bid, track)
                 dyn = stats.pop("dynamic", None)
                 if probe is not None:
@@ -315,7 +314,7 @@ class GNNServer:
                 t0 = sim.now
                 sample = batch.samples[g]
                 flops = np.zeros(k)
-                flops[g] = (system.models[g].forward_flops(sample)
+                flops[g] = (system.model.forward_flops(sample)
                             * COMPUTE_DEDUP_CORRECTION)
                 trace = OpTrace()
                 trace.add(LocalKernel("compute", flops, label="serve-infer"))
@@ -323,8 +322,8 @@ class GNNServer:
                 batch.stages["compute"] = sim.now - t0
                 preds = None
                 if cfg.functional and len(sample.seeds):
-                    out = system.models[g](sample, Tensor(batch.feats[g]),
-                                           training=False)
+                    out = system.model(sample, Tensor(batch.feats[g]),
+                                       training=False)
                     preds = np.argmax(out.data, axis=1)
                 for i, r in enumerate(batch.requests):
                     rec = records[r.rid]

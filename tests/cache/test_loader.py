@@ -151,14 +151,27 @@ def _priced(engine, trace) -> list:
     ]
 
 
+class _Reads:
+    """A feature matrix that counts its row reads."""
+
+    def __init__(self, a):
+        self.a, self.ndim, self.shape, self.dtype = a, a.ndim, a.shape, a.dtype
+        self.reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return self.a[index]
+
+
 class TestPlanOnlyLoad:
-    """``gather=False`` copies no rows but is otherwise the same load:
-    trace, stats, running totals and dynamic placement all derive from
-    the plan."""
+    """A load whose rows are never indexed copies no row but is
+    otherwise the same load: trace, stats, running totals and dynamic
+    placement all derive from the plan.  Rows indexed late — after later
+    loads moved the dynamic placement — equal rows indexed at once."""
 
     N, K = 96, 3
 
-    def _loader(self, codec, dynamic):
+    def _loader(self, codec, dynamic, wrap=lambda a: a):
         rng = np.random.default_rng(5)
         features = rng.normal(size=(self.N, 8)).astype(np.float32)
         offsets = np.linspace(0, self.N, self.K + 1).astype(np.int64)
@@ -168,7 +181,8 @@ class TestPlanOnlyLoad:
         if dynamic:
             policy = DynamicCachePolicy(store, DynamicCacheConfig(
                 window=2, prefetch_quota=4, hysteresis=0.0))
-        return FeatureLoader(features, store, codec=codec, dynamic=policy)
+        return FeatureLoader(wrap(features), store, codec=codec,
+                             dynamic=policy)
 
     def _stream(self, repeat):
         rng = np.random.default_rng(9)
@@ -193,32 +207,38 @@ class TestPlanOnlyLoad:
     def test_same_trace_and_stats(self, codec, dynamic, repeat):
         engine = CostEngine(Cluster.dgx1(self.K))
         full = self._loader(codec, dynamic)
-        plan_only = self._loader(codec, dynamic)
+        plan_only = self._loader(codec, dynamic, wrap=_Reads)
+        loads = []
         for reqs in self._stream(repeat):
             feats_a, trace_a, stats_a = full.load(reqs)
-            feats_b, trace_b, stats_b = plan_only.load(reqs, gather=False)
-            assert feats_b is None
-            assert len(feats_a) == self.K
+            eager = [feats_a[g] for g in range(self.K)]
+            feats_b, trace_b, stats_b = plan_only.load(reqs)
+            assert len(feats_a) == len(feats_b) == self.K
             assert _priced(engine, trace_a) == _priced(engine, trace_b)
             assert stats_a == stats_b
+            loads.append((eager, feats_b))
+        assert plan_only.features.reads == 0
         assert full.totals == plan_only.totals
         np.testing.assert_array_equal(full.store.cached,
                                       plan_only.store.cached)
         if dynamic:
             assert full.dynamic.stats() == plan_only.dynamic.stats()
             assert full.dynamic.promotions > 0
+        for eager, late in loads:
+            for g in range(self.K):
+                assert late[g].tobytes() == eager[g].tobytes()
 
     def test_host_gather_plan_only(self):
         features = np.arange(20, dtype=np.float32).reshape(10, 2)
-        loader = HostGatherLoader(features, num_gpus=2)
+        loader = HostGatherLoader(_Reads(features), num_gpus=2)
         reqs = [np.array([3, 1, 3]), np.array([5])]
-        out, trace_a, stats_a = loader.load(reqs)
-        none, trace_b, stats_b = loader.load(reqs, gather=False)
-        assert none is None
+        out, trace, stats = loader.load(reqs)
+        assert loader.features.reads == 0
+        np.testing.assert_array_equal(trace.ops[0].tasks, [16.0, 8.0])
+        assert stats["cold"] == 3
+        assert len(out) == 2
         assert np.array_equal(out[0], features[[1, 3]])
-        engine = CostEngine(Cluster.dgx1(2))
-        assert _priced(engine, trace_a) == _priced(engine, trace_b)
-        assert stats_a == stats_b
+        assert np.array_equal(out[1], features[[5]])
 
 
 class TestPlanDedup:

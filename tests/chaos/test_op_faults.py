@@ -99,13 +99,13 @@ class _ScriptedSystem:
     def __init__(self):
         self.cluster = Cluster.dgx1(1)
         self.engine = self
-        self.models = [SimpleNamespace(forward_flops=lambda sample: 0.0)]
+        self.model = SimpleNamespace(forward_flops=lambda sample: 0.0)
 
     def _sample(self, per_gpu):
         seeds = per_gpu[0]
         return [SimpleNamespace(seeds=seeds, all_nodes=seeds)], "sample"
 
-    def _load(self, reqs, gather, lost):
+    def _load(self, reqs, lost):
         return None, "load", {}
 
     def trace_cost(self, trace):

@@ -114,10 +114,8 @@ class TestMultiMachine:
             feats = [mm.data.features[s.all_nodes] for s in samples]
             mm._train_batch(samples, feats, functional=True)
             ref._train_batch(samples, feats, functional=True)
-        assert len(mm.models) == CFG.num_gpus
-        for got, want in zip(mm.models, ref.models):
-            for a, b in zip(got.state(), want.state()):
-                np.testing.assert_array_equal(a, b)
+        for a, b in zip(mm.model.state(), ref.model.state()):
+            np.testing.assert_array_equal(a, b)
 
 
 def _assert_same_ops(ops, want):
@@ -143,8 +141,8 @@ class TestLoadIsTheLoaders:
         for batch in mm._global_batches()[:9]:
             samples, _ = mm._sample(mm._assign_seeds(batch))
             reqs = [s.all_nodes for s in samples]
-            _, trace, stats = mm._load(reqs, gather=False)
-            _, want, _ = twin.loader.load(reqs, gather=False)
+            _, trace, stats = mm._load(reqs)
+            _, want, _ = twin.loader.load(reqs)
             (group, *rest), (want_group, *want_rest) = trace.ops, want.ops
             _assert_same_ops(rest, want_rest)  # the codec's decode kernel
             *branches, (net,) = group.branches

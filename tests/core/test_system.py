@@ -1,9 +1,12 @@
 """Integration tests: the six end-to-end systems."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.core import RunConfig, SYSTEMS, build_system
+from repro.nn import Adam, Tensor, cross_entropy
 from repro.utils import ConfigError
 
 
@@ -77,19 +80,34 @@ class TestDSPSpecifics:
                 assert (dsp.sampler.owner_of(chunk) == g).all()
 
     def test_functional_false_freezes_model(self, dsp):
-        before = [p.data.copy() for p in dsp.models[0].parameters()]
+        before = [p.data.copy() for p in dsp.model.parameters()]
         dsp.run_epoch(max_batches=2, functional=False)
-        after = dsp.models[0].parameters()
+        after = dsp.model.parameters()
         for b, a in zip(before, after):
             assert np.array_equal(b, a.data)
 
-    def test_replicas_stay_synchronized(self, dsp):
-        """BSP: after an epoch all replicas hold identical parameters."""
-        dsp.run_epoch()
-        p0 = dsp.models[0].state()
-        for model in dsp.models[1:]:
-            for a, b in zip(p0, model.state()):
-                np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-6)
+    def test_replicas_stay_synchronized(self):
+        """BSP: the one parameter set holds, bit for bit, what each of k
+        replicas holds when k copies train on the same samples and
+        average their gradients in GPU order — also when some GPUs get
+        no seeds (8 GPUs, 2 seeds each: most batches leave one idle)."""
+        idle_steps = []
+        for cfg in (CFG, CFG.with_(num_gpus=8, batch_size=2)):
+            system = build_system("DSP", cfg)
+            replicas = [copy.deepcopy(system.model) for _ in range(system.k)]
+            steps = []
+            for seeds in system._global_batches()[:6]:
+                samples, _ = system._sample(system._assign_seeds(seeds))
+                feats, _, _ = system._load([s.all_nodes for s in samples])
+                system._train_batch(samples, feats, functional=True)
+                steps.append((samples, [feats[g] for g in range(system.k)]))
+            idle_steps.append(sum(any(len(s.seeds) == 0 for s in samples)
+                                  for samples, _ in steps))
+            _k_replica_bsp(replicas, steps, system.data.labels, cfg.lr)
+            for model in replicas:
+                for a, b in zip(model.state(), system.model.state()):
+                    assert a.tobytes() == b.tobytes()
+        assert idle_steps[1] > 0
 
     def test_pipeline_not_slower_than_seq(self):
         pipe = build_system("DSP", CFG).run_epoch(functional=False)
@@ -132,3 +150,34 @@ class TestSystemComparisons:
     def test_gpu_systems_beat_cpu_systems(self, times):
         assert times["DGL-UVA"] < times["DGL-CPU"]
         assert times["DGL-UVA"] < times["PyG"]
+
+
+def _k_replica_bsp(replicas, steps, labels, lr) -> None:
+    """Train ``replicas`` as k separate models with k optimizers: each
+    active GPU's replica runs its own forward and backward, then every
+    replica's gradient becomes the mean of all k in GPU order (an idle
+    replica still holding its previous mean) and every replica steps."""
+    k = len(replicas)
+    opts = [Adam(m.parameters(), lr=lr) for m in replicas]
+    for samples, feats in steps:
+        total = sum(len(s.seeds) for s in samples)
+        active = False
+        for g, sample in enumerate(samples):
+            if len(sample.seeds) == 0:
+                continue
+            out = replicas[g](sample, Tensor(feats[g]))
+            loss = cross_entropy(out, labels[sample.seeds])
+            opts[g].zero_grad()
+            (loss * (len(sample.seeds) * k / total)).backward()
+            active = True
+        if not active:
+            continue
+        param_lists = [m.parameters() for m in replicas]
+        for i in range(len(param_lists[0])):
+            grads = [pl[i].grad for pl in param_lists if pl[i].grad is not None]
+            if grads:
+                mean = np.sum(grads, axis=0) / k
+                for pl in param_lists:
+                    pl[i].grad = mean.copy()
+        for opt in opts:
+            opt.step()

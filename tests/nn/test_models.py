@@ -1,5 +1,7 @@
 """Tests for GNN layers, models, loss, optimizers and data parallelism."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from repro.nn import (
     Tensor,
     accuracy,
     allreduce_gradients,
-    clone_model,
     cross_entropy,
     gradient_nbytes,
 )
@@ -229,45 +230,67 @@ class TestLossAndOptim:
 
 
 class TestDataParallel:
-    def test_clone_shares_nothing(self):
-        model = Linear(3, 2, rng=0)
-        replicas = clone_model(model, 3)
-        replicas[1].weight.data[:] = 0
-        assert replicas[0].weight.data.any()
+    @staticmethod
+    def _grads(model, per_gpu):
+        """Per-GPU gradient lists over ``model.parameters()``: GPU g's
+        weight gradient is ``per_gpu[g]`` (None = no gradient), and no
+        GPU has a bias gradient."""
+        params = model.parameters()
+        w = next(i for i, p in enumerate(params) if p is model.weight)
+        grads = [[None] * len(params) for _ in per_gpu]
+        for gl, g in zip(grads, per_gpu):
+            gl[w] = g
+        return params, grads
 
     def test_allreduce_averages(self):
         model = Linear(2, 2, rng=0)
-        replicas = clone_model(model, 2)
-        replicas[0].weight.grad = np.ones((2, 2), dtype=np.float32)
-        replicas[1].weight.grad = 3 * np.ones((2, 2), dtype=np.float32)
-        allreduce_gradients(replicas)
-        np.testing.assert_allclose(replicas[0].weight.grad, 2.0)
-        np.testing.assert_allclose(replicas[1].weight.grad, 2.0)
+        params, grads = self._grads(model, [
+            np.ones((2, 2), dtype=np.float32),
+            3 * np.ones((2, 2), dtype=np.float32),
+        ])
+        allreduce_gradients(params, grads)
+        np.testing.assert_allclose(model.weight.grad, 2.0)
+        assert model.bias.grad is None  # no GPU had one
 
     def test_allreduce_missing_grad_counts_as_zero(self):
         model = Linear(2, 2, rng=0)
-        replicas = clone_model(model, 2)
-        replicas[0].weight.grad = np.full((2, 2), 4.0, dtype=np.float32)
-        allreduce_gradients(replicas)
-        np.testing.assert_allclose(replicas[1].weight.grad, 2.0)
+        params, grads = self._grads(
+            model, [np.full((2, 2), 4.0, dtype=np.float32), None])
+        allreduce_gradients(params, grads)
+        np.testing.assert_allclose(model.weight.grad, 2.0)
+
+    def test_allreduce_sums_in_gpu_order(self):
+        """The mean is ``np.sum`` over the GPUs' gradients in GPU order,
+        bit for bit (float32 addition does not commute in rounding)."""
+        per_gpu = [np.full((2, 2), v, dtype=np.float32)
+                   for v in (1e8, 1.0, -1e8, 1.0)]
+        model = Linear(2, 2, rng=0)
+        params, grads = self._grads(model, per_gpu)
+        allreduce_gradients(params, grads)
+        # ((1e8 + 1) - 1e8) + 1 = 1 in float32; reversed, the sum is 0
+        np.testing.assert_array_equal(model.weight.grad, 0.25)
 
     def test_bsp_equivalence(self):
-        """BSP: 2 replicas on half batches == 1 model on the full batch."""
+        """BSP: 2 GPUs on half batches == 1 model on the full batch."""
         rng = np.random.default_rng(0)
         x = rng.normal(size=(8, 3)).astype(np.float32)
         y = np.array([0, 1, 0, 1, 1, 0, 1, 0])
 
         solo = Linear(3, 2, rng=7)
-        duo = clone_model(solo, 2)
+        duo = copy.deepcopy(solo)
 
         loss = cross_entropy(solo(Tensor(x)), y)
         loss.backward()
 
-        for r, sl in zip(duo, (slice(0, 4), slice(4, 8))):
-            cross_entropy(r(Tensor(x[sl])), y[sl]).backward()
-        allreduce_gradients(duo)
+        params = duo.parameters()
+        grads = []
+        for sl in (slice(0, 4), slice(4, 8)):
+            duo.zero_grad()
+            cross_entropy(duo(Tensor(x[sl])), y[sl]).backward()
+            grads.append([p.grad for p in params])
+        allreduce_gradients(params, grads)
         np.testing.assert_allclose(
-            duo[0].weight.grad, solo.weight.grad, rtol=1e-4, atol=1e-6
+            duo.weight.grad, solo.weight.grad, rtol=1e-4, atol=1e-6
         )
 
     def test_gradient_nbytes(self):

@@ -52,7 +52,7 @@ class TestEndToEndConsistency:
         b = build_system("DSP-Seq", CFG)
         a.run_epoch()
         b.run_epoch()
-        for pa, pb in zip(a.models[0].state(), b.models[0].state()):
+        for pa, pb in zip(a.model.state(), b.model.state()):
             np.testing.assert_allclose(pa, pb, rtol=1e-6)
 
     def test_biased_dsp_trains(self):
@@ -102,12 +102,8 @@ class TestCheckpointing:
         b = build_system("DSP", CFG)
         b.load_checkpoint(ckpt)
         assert b.batches_seen == a.batches_seen
-        for pa, pb in zip(a.models[0].state(), b.models[0].state()):
+        for pa, pb in zip(a.model.state(), b.model.state()):
             np.testing.assert_array_equal(pa, pb)
-        # every replica was restored
-        for model in b.models:
-            for pa, pm in zip(a.models[0].state(), model.state()):
-                np.testing.assert_array_equal(pa, pm)
 
     def test_resume_continues_training(self, tmp_path):
         a = build_system("DSP", CFG)
