@@ -253,12 +253,14 @@ class DynamicCachePolicy:
             cb()
 
     # ------------------------------------------------------------------
-    def observe(self, nodes_per_gpu) -> np.ndarray:
+    def observe(self, nodes_per_gpu, lost=frozenset()) -> np.ndarray:
         """Record one load's (deduplicated, per-GPU) request arrays.
 
         Returns the per-patch count of rows promoted *by this load*
         (frontier prefetch + any window rebalance) — the loader charges
-        them as a host->GPU cache-fill transfer.  Fires ``on_change``
+        them as a host->GPU cache-fill transfer.  The patches of
+        ``lost`` cache peers take no promotion: no load reads them.
+        Scores still count every request.  Fires ``on_change``
         callbacks when the placement changed.
         """
         cfg = self.config
@@ -269,12 +271,12 @@ class DynamicCachePolicy:
         p0, d0 = self.promotions, self.demotions
         changed = False
         if cfg.prefetch_quota > 0:
-            changed |= self._prefetch(nodes_per_gpu, fill)
+            changed |= self._prefetch(nodes_per_gpu, fill, lost)
         for nodes in nodes_per_gpu:
             self._seen[nodes] = True
         self._loads += 1
         if self._loads % cfg.window == 0:
-            changed |= self._rebalance(fill)
+            changed |= self._rebalance(fill, lost)
         self.last_promoted = self.promotions - p0
         self.last_demoted = self.demotions - d0
         if changed:
@@ -282,9 +284,10 @@ class DynamicCachePolicy:
         return fill
 
     # ------------------------------------------------------------------
-    def _rebalance(self, fill: np.ndarray) -> bool:
-        """Fold the window into the EWMA and re-select each patch's
-        residents.  Vectorized per patch; returns True on any move."""
+    def _rebalance(self, fill: np.ndarray, lost=frozenset()) -> bool:
+        """Fold the window into the EWMA and re-select the residents of
+        each patch not ``lost``.  Vectorized per patch; returns True on
+        any move."""
         cfg = self.config
         a = cfg.ewma
         np.multiply(self.score, 1.0 - a, out=self.score)
@@ -302,8 +305,11 @@ class DynamicCachePolicy:
                 continue
             s = self.score[lo:hi]
             cur = cached[lo:hi]
-            # challengers hottest first, victims coldest resident first
-            cand, victims = _split_top(s, self._rank[lo:hi], target, cur)
+            if g in lost:
+                cand = victims = np.empty(0, dtype=np.int64)
+            else:
+                # challengers hottest first, victims coldest resident first
+                cand, victims = _split_top(s, self._rank[lo:hi], target, cur)
             if cfg.max_moves is not None and len(cand) > cfg.max_moves:
                 cand = cand[: cfg.max_moves]
             # free slots (underfull cache) are filled unconditionally;
@@ -334,9 +340,10 @@ class DynamicCachePolicy:
             return True
         return False
 
-    def _prefetch(self, nodes_per_gpu, fill: np.ndarray) -> bool:
+    def _prefetch(self, nodes_per_gpu, fill: np.ndarray, lost) -> bool:
         """Stage requested-but-cold nodes whose effective score already
-        beats their patch's resident floor (bounded per patch)."""
+        beats their patch's resident floor (bounded per patch), into
+        every patch not ``lost``."""
         store = self.store
         cand = (
             np.concatenate(nodes_per_gpu)
@@ -365,7 +372,7 @@ class DynamicCachePolicy:
         moved = demoted = 0
         for g in range(self.num_gpus):
             a, b = int(bounds[g]), int(bounds[g + 1])
-            if a == b:
+            if a == b or g in lost:
                 continue
             ids, e = cand[a:b], eff[a:b]
             order = np.lexsort((self._rank[ids], -e))

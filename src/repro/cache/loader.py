@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.cache.store import CacheStore, DegradedStore, Placement
+from repro.cache.store import CacheStore, DegradedStore, NoCache, Placement
 from repro.sampling.ops import (
     AllToAll,
     HostWork,
@@ -164,8 +164,9 @@ class FeatureLoader:
 
         ``lost`` names GPUs whose cache shard is gone (a lost cache
         peer): for this call their rows are planned as cold, so they
-        fail over to the UVA path.  Everything else about the load —
-        codec, dynamic feed — is unchanged.
+        fail over to the UVA path, and the dynamic policy promotes no
+        row into their patches.  Everything else about the load — codec,
+        the requests the policy scores — is unchanged.
         """
         k = self.store.num_gpus
         if len(requests_per_gpu) != k:
@@ -214,7 +215,7 @@ class FeatureLoader:
         if self.dynamic is not None:
             # feed the (deduplicated) request stream to the dynamic
             # policy; promoted rows are staged host -> GPU on the cold path
-            fill = self.dynamic.observe([p.nodes for p in plans])
+            fill = self.dynamic.observe([p.nodes for p in plans], lost)
             if fill.any():
                 # staged rows ride the same (possibly compressed) wire
                 # format as any other host -> GPU feature transfer
@@ -253,6 +254,8 @@ class FeatureLoader:
 class HostGatherLoader:
     """CPU-resident features: host gather + bulk H2D copy (PyG/DGL-CPU)."""
 
+    dynamic = None  # no dynamic policy, and a store that caches nothing
+
     def __init__(self, features: np.ndarray, num_gpus: int):
         if features.ndim != 2:
             raise ConfigError("features must be [num_nodes, dim]")
@@ -261,6 +264,7 @@ class HostGatherLoader:
         self.features = features
         self.num_gpus = num_gpus
         self.row_bytes = features.shape[1] * features.dtype.itemsize
+        self.store = NoCache(features.shape[0], num_gpus)
 
     def load(
         self, requests_per_gpu: list[np.ndarray],

@@ -197,8 +197,7 @@ def _run_train_scenario(system_name: str, sc: Scenario, config,
         outcome, dead = "stalled", tuple(sorted(err.dead))
     except InvariantViolation:
         outcome = "invariant-violation"
-    res = (getattr(system, "last_pipeline_result", None)
-           if outcome == "completed" else None)
+    res = system.last_pipeline_result if outcome == "completed" else None
     out = {
         "system": system_name,
         "scenario": sc.name,

@@ -19,6 +19,7 @@ from repro.cluster import RouterConfig
 from repro.control import AutoscaleConfig, ControllerConfig
 from repro.core import RunConfig, SYSTEMS, build_system
 from repro.core.metrics import metrics_dict as _metrics_dict, scrub_nan
+from repro.core.system import unhonoured
 from repro.graph import DATASET_SPECS
 from repro.serve import ServeConfig, WorkloadConfig
 from repro.utils import fmt_bytes, fmt_time
@@ -193,9 +194,10 @@ def build_configs(args) -> dict:
     return {cls: cls(**kw) for cls, kw in kwargs.items()}
 
 
-def _systems(args, default=()) -> list[str]:
-    """``--systems`` as a list of names, ``default`` when empty; an
-    unknown name fails here, before any task reaches a worker."""
+def _systems(args, cfg: RunConfig, default=()) -> list[str]:
+    """``--systems`` (``default`` when empty) less the systems that lack a
+    setting of ``cfg``, named in one note; an unknown name, or no system
+    left, fails here, before any task reaches a worker."""
     names = [s for s in args.systems.split(",") if s] or list(default)
     for name in names:
         if name not in SYSTEMS:
@@ -203,7 +205,19 @@ def _systems(args, default=()) -> list[str]:
                 f"--systems: unknown system {name!r}; "
                 f"available: {', '.join(sorted(SYSTEMS))}"
             )
-    return names
+    flags = {row.field: flag for flag, row in CONFIG_FLAGS.items()
+             if row.config is RunConfig}
+    lacks = {n: ", ".join(flags.get(f, f) for f in unhonoured(SYSTEMS[n], cfg))
+             for n in names}
+    skipped = "; ".join(f"{n} ({fs})" for n, fs in lacks.items() if fs)
+    kept = [n for n in names if not lacks[n]]
+    if not kept:
+        raise ConfigError(f"--systems: every system lacks a setting of "
+                          f"this run: {skipped}")
+    if skipped:
+        print(f"note: skipping systems that lack a setting of this run: "
+              f"{skipped}")
+    return kept
 
 
 def cmd_train(args) -> int:
@@ -233,7 +247,7 @@ def cmd_compare(args) -> int:
     from repro.bench.harness import compare_epochs
 
     cfg = build_configs(args)[RunConfig]
-    systems = _systems(args, default=TABLE_SYSTEMS)
+    systems = _systems(args, cfg, default=TABLE_SYSTEMS)
     out = compare_epochs(
         systems, cfg, max_batches=args.batches, workers=args.workers
     )
@@ -334,7 +348,7 @@ def cmd_serve(args) -> int:
         )
     serve_cfg = replace(configs[ServeConfig], controller=controller,
                         tenancy=tenancy)
-    systems = _systems(args)
+    systems = _systems(args, cfg)
     if args.scale_max > 1 and args.num_replicas != 1:
         return _fail("--scale-max replaces the fixed --num-replicas router; "
                      "use one or the other")
@@ -369,10 +383,8 @@ def cmd_serve(args) -> int:
             )
         warm_nodes = None
         if args.cache_warmup > 0:
-            hist = workload.nodes[: args.cache_warmup]
-            numbering = getattr(system, "numbering", None)
-            if numbering is not None:
-                hist = numbering.old_to_new[hist]
+            hist = system.numbering.old_to_new[
+                workload.nodes[: args.cache_warmup]]
             promoted = system.warm_cache(hist)
             if promoted is not None:
                 warm_nodes = hist
@@ -482,17 +494,8 @@ def cmd_chaos(args) -> int:
 
     configs = build_configs(args)
     cfg = configs[RunConfig]
-    systems = _systems(args)
     positive("--qps", args.qps)
-    if cfg.num_nodes > 1:
-        multinode = [s for s in systems if SYSTEMS[s].multinode]
-        dropped = sorted(set(systems) - set(multinode))
-        if dropped:
-            print(f"note: skipping single-server systems on "
-                  f"{cfg.num_nodes} nodes: {', '.join(dropped)}")
-        systems = multinode
-        if not systems:
-            return _fail("no system in --systems supports --num-nodes > 1")
+    systems = _systems(args, cfg)
     scenarios = (
         [s for s in args.scenarios.split(",") if s]
         if args.scenarios else sorted(SCENARIOS)

@@ -43,14 +43,10 @@ def affinity_map(system, num_replicas: int) -> np.ndarray | None:
     system has no owner partition (the router falls back to
     ``node % R`` hashing).
     """
-    sampler = getattr(system, "sampler", None)
-    owner_of = getattr(sampler, "owner_of", None)
-    if owner_of is None or num_replicas <= 1:
+    if system.owner_of is None or num_replicas <= 1:
         return None
-    nodes = np.arange(system.data.num_nodes, dtype=np.int64)
-    numbering = getattr(system, "numbering", None)
-    seeds = numbering.old_to_new[nodes] if numbering is not None else nodes
-    owners = np.asarray(owner_of(seeds), dtype=np.int64)
+    seeds = system.numbering.old_to_new
+    owners = np.asarray(system.owner_of(seeds), dtype=np.int64)
     sizes = np.bincount(owners)
     # rank of each seed inside its owner's patch (argsort is exact even
     # for a non-contiguous numbering)

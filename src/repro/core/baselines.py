@@ -16,6 +16,8 @@ PyG's sampler is a constant factor slower than DGL's (both are
 host-side, but DGL's C++ sampler is better optimized — visible in
 Table 6's PyG vs DGL-CPU rows).  Quiver pays raw cudaMalloc/cudaFree
 per batch, which is why it trails DGL-UVA despite caching (§7.2).
+The table is each architecture: of DSP's settings only Quiver honours
+one, its cache budget (``honours``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ class _CPUSystem(TrainingSystem):
     sampler_efficiency = 1.0
 
     def _prepare(self) -> None:
-        self.data = self.base_dataset
+        super()._prepare()
         self.sampler = CPUSampler(self.data.graph, self.k, seed=self.config.seed)
         self.loader = HostGatherLoader(self.data.features, self.k)
 
@@ -80,7 +82,7 @@ class DGLUVA(TrainingSystem):
     name = "DGL-UVA"
 
     def _prepare(self) -> None:
-        self.data = self.base_dataset
+        super()._prepare()
         self.sampler = UVASampler(self.data.graph, self.k, seed=self.config.seed)
         self.loader = FeatureLoader(
             self.data.features, NoCache(self.data.num_nodes, self.k)
@@ -98,6 +100,7 @@ class Quiver(TrainingSystem):
 
     name = "Quiver"
     allocator = AllocatorKind.RAW_CUDA
+    honours = frozenset({"feature_cache_bytes"})
     #: raw (re)allocations per batch in the sampler / loader paths
     SAMPLE_ALLOCS = 8
     LOAD_ALLOCS = 3
@@ -125,7 +128,7 @@ class Quiver(TrainingSystem):
 
     def _prepare(self) -> None:
         cfg = self.config
-        self.data = self.base_dataset
+        super()._prepare()
         self.sampler = UVASampler(self.data.graph, self.k, seed=cfg.seed)
         row_bytes = self.data.feature_dim * self.data.features.dtype.itemsize
         budget_bytes = cfg.feature_cache_bytes
@@ -141,7 +144,6 @@ class Quiver(TrainingSystem):
             rank_by_degree(self.data.graph),
             budget_nodes=budget_nodes,
         )
-        self.store = store
         self.loader = FeatureLoader(self.data.features, store)
 
 
@@ -152,14 +154,10 @@ class PullDSP(DSP):
     whole adjacency lists instead of pushing sampling tasks.  Training
     and serving comparisons use it to isolate the sampling-primitive
     choice — everything else (partition, cache, pipeline) is DSP's.
+    Pull-Data draws from the unbiased patches, so the GNS cache bias is
+    refused rather than ignored.
     """
 
     name = "DSP-Pull"
-
-    def _prepare(self) -> None:
-        super()._prepare()
-        self.sampler = PullDataSampler(
-            self.sampler.patches,
-            self.sampler.part_offsets,
-            seed=self.config.seed,
-        )
+    honours = DSP.honours - {"cache_bias"}
+    sampler_cls = PullDataSampler

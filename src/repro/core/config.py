@@ -68,14 +68,14 @@ class RunConfig:
     #: if it fits (Fig 10 sweeps this against feature_cache_bytes)
     topology_cache_bytes: float | None = None
     #: servers in the cluster; ``num_gpus`` counts GPUs *per server*, so
-    #: the total GPU count is ``num_nodes * num_gpus``.  Only DSP-family
-    #: systems support ``num_nodes > 1`` (see ``docs/cluster.md``)
+    #: the total GPU count is ``num_nodes * num_gpus``.  A system that
+    #: does not honour it refuses it (see ``docs/extending.md``)
     num_nodes: int = 1
     #: cross-server NIC preset: "ethernet" (100 GbE) or "infiniband"
     #: (HDR); every system's cost engine prices network transfers on
     #: it, and single-server systems emit none
     nic: str = one_of(tuple(NIC_PRESETS), "ethernet")
-    #: access-frequency dynamic feature caching (DSP family only; see
+    #: access-frequency dynamic feature caching (see
     #: ``docs/caching.md``) — off by default, in which case the cache
     #: is the paper's static layout-time placement
     dynamic_cache: bool = False

@@ -44,11 +44,8 @@ def full_graph_inference(
     trace = OpTrace()
 
     # ownership for boundary accounting (DSP has a real partition)
-    sampler = getattr(system, "sampler", None)
-    if hasattr(sampler, "part_offsets") and hasattr(sampler, "owner_of"):
-        owner = sampler.owner_of(np.arange(n))
-    else:
-        owner = np.zeros(n, dtype=np.int64)
+    owner = (np.zeros(n, dtype=np.int64) if system.owner_of is None
+             else system.owner_of(np.arange(n)))
 
     h = np.array(data.features, dtype=np.float32)
     dst_all = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)

@@ -100,7 +100,8 @@ class PipelineRunner:
         ``sampler_workers`` / ``loader_workers`` > 1 give each GPU
         multiple worker instances striped over mini-batches (the
         multi-instance alternative of §5; the trainer stays single to
-        preserve BSP, consuming batches in order).
+        preserve BSP).  Every loader and trainer consumes its batches in
+        order, so every GPU launches their collectives in one order.
 
         ``tracer``, ``metrics`` and ``invariants`` instrument the replay
         (:mod:`repro.obs.probe` says what each records);
@@ -300,6 +301,23 @@ class PipelineRunner:
                 ]
                 queue_consumers[f"gpu{g}-trainq"] = [f"trainer-gpu{g}"]
 
+            def take(g: int, stage: str, q, stash: dict, t: int,
+                     crashable: bool = False):
+                """Batch ``t``'s item from ``q``, in batch order: items
+                that arrive early wait in ``stash``.  None once this
+                GPU's ``stage`` worker crashed, when ``crashable``."""
+                while True:
+                    if crashable and inj is not None and inj.crashed(g, stage):
+                        return None
+                    if t in stash:
+                        return stash.pop(t)
+                    if inj is not None:
+                        st = inj.queue_stall(g, stage)
+                        if st > 0.0:
+                            yield Timeout(st)
+                    item = yield q.get()
+                    stash[item[1] if type(item) is tuple else item] = item
+
             def sampler(g: int, w: int):
                 track = f"sampler{w}-gpu{g}"
                 for t in range(w, B, S):
@@ -320,20 +338,16 @@ class PipelineRunner:
 
             def loader(g: int, w: int):
                 track = f"loader{w}-gpu{g}"
-                for _ in range(w, B, L):
-                    if inj is not None:
-                        st = inj.queue_stall(g, "load")
-                        if st > 0.0:
-                            yield Timeout(st)
-                    item = yield queues_sl[g][w].get()
+                stash: dict = {}
+                for t in range(w, B, L):
+                    item = yield from take(g, "load", queues_sl[g][w],
+                                           stash, t)
                     if type(item) is tuple:
                         # upstream loss marker: forward it downstream
-                        t = item[1]
                         note_lost(g, "load", t, "upstream-lost")
                         yield from skip_ops(g, "load", t)
                         yield queues_lt[g].put(("lost", t))
                         continue
-                    t = item
                     if inj is not None and inj.crashed(g, "load"):
                         # a crashed loader keeps draining its input so
                         # the pipeline degrades instead of wedging
@@ -345,36 +359,22 @@ class PipelineRunner:
                     yield queues_lt[g].put(t)
 
             def trainer(g: int):
-                # BSP: consume strictly in batch order, stashing early
-                # arrivals from out-of-order loader instances
                 track = f"trainer-gpu{g}"
                 stash: dict = {}
-                next_t = 0
-                while next_t < B:
-                    if inj is not None and inj.crashed(g, "train"):
+                for t in range(B):
+                    item = yield from take(g, "train", queues_lt[g], stash,
+                                           t, crashable=True)
+                    if item is None:
                         # the BSP sink has no degraded mode: it stops
                         # consuming, which upstream sees as a stall
-                        for tt in range(next_t, B):
+                        for tt in range(t, B):
                             note_lost(g, "train", tt, "worker-crash")
                         return
-                    if next_t in stash:
-                        status = stash.pop(next_t)
-                        if status == "ok":
-                            yield from run_stage(g, "train", next_t, track)
-                        else:
-                            note_lost(g, "train", next_t, "upstream-lost")
-                            yield from skip_ops(g, "train", next_t)
-                        next_t += 1
-                        continue
-                    if inj is not None:
-                        st = inj.queue_stall(g, "train")
-                        if st > 0.0:
-                            yield Timeout(st)
-                    item = yield queues_lt[g].get()
                     if type(item) is tuple:
-                        stash[item[1]] = "lost"
+                        note_lost(g, "train", t, "upstream-lost")
+                        yield from skip_ops(g, "train", t)
                     else:
-                        stash[item] = "ok"
+                        yield from run_stage(g, "train", t, track)
 
             def op_worker(g: int, tag) -> str:
                 stage, t = tag[0], tag[1]

@@ -19,7 +19,7 @@ from repro.core.layout import DSPLayout, plan_layout
 from repro.core.metrics import EpochMetrics, RunResult
 from repro.core.pipeline import PipelineRunner
 from repro.graph.datasets import Dataset, load_dataset, load_partition
-from repro.graph.reorder import renumber_by_partition
+from repro.graph.reorder import NodeNumbering, renumber_by_partition
 from repro.hw.devices import Cluster
 from repro.hw.memory import AllocatorKind, alloc_overhead
 from repro.hw.network import NICSpec
@@ -37,7 +37,7 @@ from repro.nn import (
 from repro.sampling.csp import CollectiveSampler
 from repro.sampling.frontier import MiniBatchSample
 from repro.sampling.ops import AllReduce, LocalKernel, OpTrace, UVAGather
-from repro.utils.errors import ConfigError
+from repro.utils.errors import ConfigError, require, show
 from repro.utils.rng import make_rng, spawn_rngs
 
 MODELS = {"sage": GraphSAGE, "gcn": GCN, "gat": GAT}
@@ -63,6 +63,19 @@ ALLOCATIONS_PER_BATCH = 60
 #: no comparison is biased.
 COMPUTE_DEDUP_CORRECTION = 0.15
 
+#: the :class:`RunConfig` fields that describe an architecture, which a
+#: system may lack (§7.1); each system class declares those it honours
+CAPABILITIES = ("num_nodes", "compress", "dynamic_cache", "cache_bias",
+                "feature_cache_bytes", "topology_cache_bytes",
+                "partitioner", "hot_policy")
+
+
+def unhonoured(cls, config: RunConfig) -> list[str]:
+    """The :data:`CAPABILITIES` ``config`` sets away from their default
+    that system class ``cls`` does not honour."""
+    return [f for f in CAPABILITIES if f not in cls.honours
+            and getattr(config, f) != getattr(RunConfig, f)]
+
 
 class TrainingSystem:
     """Base: functional training + cost accounting for one architecture."""
@@ -70,17 +83,17 @@ class TrainingSystem:
     name = "base"
     allocator = AllocatorKind.POOLED
     pipelined = False
-    #: whether the architecture can span multiple servers; only the
-    #: DSP family lowers its collectives hierarchically (docs/cluster.md)
-    multinode = False
+    #: the :data:`CAPABILITIES` it honours; any other is refused if set
+    honours: frozenset = frozenset()
+    #: node -> owning GPU where the graph is partitioned, else None
+    owner_of = None
+    numbering: NodeNumbering  # original -> system node ids
 
     def __init__(self, config: RunConfig):
         self.config = config
-        if config.num_nodes > 1 and not self.multinode:
-            raise ConfigError(
-                f"{self.name} runs on a single server; only DSP-family "
-                f"systems support num_nodes > 1"
-            )
+        for f in unhonoured(type(self), config):  # fails on the first
+            require(False, f, f"{show(getattr(RunConfig, f))} on {self.name},"
+                    " which does not honour it", getattr(config, f))
         self.base_dataset = load_dataset(config.dataset)
         #: the cluster-level topology (NICs + per-server meshes) when the
         #: simulated hardware spans servers, else None — _make_cluster
@@ -150,7 +163,10 @@ class TrainingSystem:
         )
 
     def _prepare(self) -> None:
-        raise NotImplementedError
+        """Set ``data``, ``numbering``, ``sampler`` and ``loader``."""
+        self.data = self.base_dataset
+        ids = np.arange(self.data.num_nodes, dtype=np.int64)
+        self.numbering = NodeNumbering(ids, ids, np.array([0, len(ids)]))
 
     def _assign_seeds(self, seeds: np.ndarray) -> list[np.ndarray]:
         """Default: round-robin split of the global batch across GPUs."""
@@ -395,13 +411,10 @@ class TrainingSystem:
         makes a point's report independent of which points (or which
         worker) ran before it.
         """
-        rngs = getattr(self.sampler, "rngs", None)
-        if rngs is not None:
-            self.sampler.rngs = spawn_rngs(make_rng(self.config.seed),
-                                           len(rngs))
-        dyn = getattr(self.loader, "dynamic", None)
-        if dyn is not None:
-            dyn.reset()
+        self.sampler.rngs = spawn_rngs(make_rng(self.config.seed),
+                                       len(self.sampler.rngs))
+        if self.loader.dynamic is not None:
+            self.loader.dynamic.reset()
 
     def warm_cache(self, nodes) -> int | None:
         """Seed the dynamic cache policy from workload history, once.
@@ -413,11 +426,10 @@ class TrainingSystem:
         ``None`` when there is no dynamic policy or it was already
         warmed.
         """
-        dyn = getattr(self.loader, "dynamic", None)
-        if dyn is None or self._warm_applied:
+        if self.loader.dynamic is None or self._warm_applied:
             return None
         self._warm_applied = True
-        return dyn.warm(nodes)
+        return self.loader.dynamic.warm(nodes)
 
     # -- evaluation -------------------------------------------------------
     def evaluate(self, nodes: np.ndarray, batch: int = 256) -> float:
@@ -445,7 +457,9 @@ class DSP(TrainingSystem):
 
     name = "DSP"
     pipelined = True
-    multinode = True
+    honours = frozenset(CAPABILITIES)
+    #: the sampling primitive over the patches: CSP (§4)
+    sampler_cls = CollectiveSampler
 
     def _prepare(self) -> None:
         cfg = self.config
@@ -497,9 +511,10 @@ class DSP(TrainingSystem):
             graph=rgraph,
             workspace_fraction=min(workspace, 0.9),
         )
-        self.sampler = CollectiveSampler(
+        self.sampler = self.sampler_cls(
             self.layout.patches, numbering.part_offsets, seed=cfg.seed
         )
+        self.owner_of = self.sampler.owner_of
         dynamic = None
         if cfg.dynamic_cache:
             from repro.cache.dynamic import DynamicCachePolicy
@@ -512,21 +527,13 @@ class DSP(TrainingSystem):
             dynamic=dynamic,
         )
         if cfg.cache_bias > 0:
-            # GNS-style biased sampling toward cached nodes; samplers
-            # without the hook (e.g. PullDSP's host sampler) skip it
-            if hasattr(self.sampler, "set_cache_bias"):
-                self.sampler.set_cache_bias(self.layout.store, cfg.cache_bias)
+            # GNS-style biased sampling toward cached nodes, rebuilt
+            # whenever the dynamic policy moves rows
+            self.sampler.set_cache_bias(self.layout.store, cfg.cache_bias)
             if dynamic is not None:
-                dynamic.on_change.append(self._refresh_cache_bias)
+                dynamic.on_change.append(self.sampler.refresh_cache_bias)
         self._topo_cold = self.layout.topo_cold_global()
         self._has_cold_topo = bool(self._topo_cold.any())
-
-    def _refresh_cache_bias(self) -> None:
-        """Rebuild the sampler's biased edge weights after the dynamic
-        policy moved nodes in or out of the cache."""
-        refresh = getattr(self.sampler, "refresh_cache_bias", None)
-        if refresh is not None:
-            refresh()
 
     def _assign_seeds(self, seeds: np.ndarray) -> list[np.ndarray]:
         """Co-partition seeds with graph patches (§3.1).
@@ -534,7 +541,7 @@ class DSP(TrainingSystem):
         One stable sort by owner instead of k boolean-mask passes; the
         relative seed order within each GPU is unchanged.
         """
-        owners = self.sampler.owner_of(seeds)
+        owners = self.owner_of(seeds)
         order = np.argsort(owners, kind="stable")
         bounds = np.cumsum(np.bincount(owners, minlength=self.k))[:-1]
         return np.split(seeds[order], bounds)
@@ -558,7 +565,7 @@ class DSP(TrainingSystem):
                 cold = self._topo_cold[block.dst_nodes]
                 if not cold.any():
                     continue
-                owners = self.sampler.owner_of(block.dst_nodes[cold])
+                owners = self.owner_of(block.dst_nodes[cold])
                 counts = np.diff(block.offsets)[cold]
                 items += np.bincount(
                     owners, weights=counts + 2.0, minlength=self.k

@@ -127,22 +127,17 @@ class GNNServer:
         self.invariants = invariants
         self.injector = injector
         self.k = system.k
-        numbering = getattr(system, "numbering", None)
-        self._old_to_new = None if numbering is None else numbering.old_to_new
-        self._owner_of = getattr(system.sampler, "owner_of", None)
 
     # -- request routing -------------------------------------------------
     def map_seed(self, node: int) -> int:
         """Original-numbering node id -> the system's id space."""
-        if self._old_to_new is None:
-            return int(node)
-        return int(self._old_to_new[node])
+        return int(self.system.numbering.old_to_new[node])
 
     def route(self, req: Request, seed: int) -> int:
         """GPU that admits the request (patch owner, else round-robin)."""
-        if self._owner_of is not None:
-            return int(self._owner_of(np.asarray([seed]))[0])
-        return req.rid % self.k
+        if self.system.owner_of is None:
+            return req.rid % self.k
+        return int(self.system.owner_of(np.asarray([seed]))[0])
 
     # -- the simulated serving run ----------------------------------------
     def run(self, requests: list[Request],
@@ -289,9 +284,9 @@ class GNNServer:
                     # a lost cache peer's rows fail over to the UVA cold
                     # path; the batch is degraded if the peer held any
                     if lost not in degrading:
-                        store = getattr(system.loader, "store", None)
-                        degrading[lost] = store is not None and any(
-                            len(store.cached_nodes(p)) for p in lost)
+                        degrading[lost] = any(
+                            len(system.loader.store.cached_nodes(p))
+                            for p in lost)
                     if degrading[lost]:
                         batch.degraded = True
                         if probe is not None:

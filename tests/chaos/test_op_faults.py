@@ -17,6 +17,7 @@ from repro.chaos.faults import FaultPlan, GpuStraggler, LinkDegrade
 from repro.chaos.injector import FaultInjector
 from repro.core.cost import OpCost
 from repro.core.pipeline import PipelineRunner
+from repro.graph.reorder import NodeNumbering
 from repro.hw import Cluster
 from repro.obs import Tracer
 from repro.serve import GNNServer, ServeConfig
@@ -94,7 +95,8 @@ class _ScriptedSystem:
 
     name = "scripted"
     k = 1
-    sampler = loader = None
+    sampler = loader = owner_of = None
+    numbering = NodeNumbering(np.arange(2), np.arange(2), np.array([0, 2]))
 
     def __init__(self):
         self.cluster = Cluster.dgx1(1)

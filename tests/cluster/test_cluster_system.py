@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import RunConfig, build_system
+from repro.core import SYSTEMS, RunConfig, build_system
 from repro.utils.errors import ConfigError
 
 CFG2 = RunConfig(dataset="tiny", num_gpus=2, num_nodes=2, hidden_dim=16,
@@ -92,10 +92,14 @@ class TestMultiNodeDSP:
 
 
 class TestBaselineGating:
-    @pytest.mark.parametrize("name", ["DGL-UVA", "PyG", "Quiver"])
+    @pytest.mark.parametrize("name", [
+        name for name, cls in sorted(SYSTEMS.items())
+        if "num_nodes" not in cls.honours])
     def test_single_server_systems_refuse(self, name):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             build_system(name, CFG2)
+        assert err.value.field == "num_nodes"
+        assert name in str(err.value)
 
 
 class TestClusterChaos:

@@ -98,3 +98,36 @@ class TestMultiWorker:
         c = PipelineRunner(cluster, b, sampler_workers=1,
                            loader_workers=1).run()
         assert a.epoch_time == pytest.approx(c.epoch_time)
+
+    def test_loaders_consume_in_batch_order(self, cluster):
+        """Two samplers finish batches 0 and 1 in opposite orders on the
+        two GPUs; each loader still launches its load collectives in
+        batch order, so every GPU joins them in one order (CCC)."""
+        from repro.obs import Tracer
+
+        def local(per_gpu):
+            return OpCost(label="k", per_gpu=np.array(per_gpu), stage=1.0,
+                          threads=256)
+
+        b = [{"sample": [local([1.0, 0.1] if t % 2 == 0 else [0.1, 1.0])],
+              "load": [collective(0.2)], "train": [kernel(0.1)]}
+             for t in range(6)]
+        tr = Tracer()
+        res = PipelineRunner(cluster, b, sampler_workers=2, tracer=tr).run()
+        assert res.epoch_time > 0
+        for g in range(K):
+            loaded = sorted(tr.spans(cat="load", track=f"loader0-gpu{g}"),
+                            key=lambda ev: ev.start)
+            assert [ev.args["batch"] for ev in loaded] == list(range(6))
+
+    @pytest.mark.parametrize("workers", [(2, 1), (3, 2)])
+    def test_more_samplers_than_loaders_complete(self, workers):
+        from repro.core import RunConfig, build_system
+
+        s, l = workers
+        cfg = RunConfig(dataset="tiny", num_gpus=2, hidden_dim=16,
+                        batch_size=8, fanout=(5, 3), sampler_workers=s,
+                        loader_workers=l)
+        m = build_system("DSP-Pull", cfg).run_epoch(max_batches=4,
+                                                     functional=False)
+        assert m.epoch_time > 0

@@ -325,6 +325,54 @@ class TestCLI:
             build_parser().parse_args([])
 
 
+class TestCapabilityRule:
+    """A command that runs one system refuses a setting the system does
+    not honour; one that runs several skips it with one note."""
+
+    @pytest.mark.parametrize("system,flags,needle", [
+        ("PyG", ["--compress", "int8"],
+         "--compress expects 'none' on PyG, which does not honour it, "
+         "got 'int8'"),
+        ("Quiver", ["--dynamic-cache"],
+         "--dynamic-cache expects False on Quiver"),
+        ("DGL-UVA", ["--num-nodes", "2"], "--num-nodes expects 1 on DGL-UVA"),
+        ("DSP-Pull", ["--cache-bias", "2"],
+         "--cache-bias expects 0 on DSP-Pull"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "trace", "infer",
+                                         "control"])
+    def test_single_system_commands_refuse(self, capsys, command, system,
+                                           flags, needle):
+        assert main([command, *ARGS, "--system", system, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needle}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command,extra", [
+        ("compare", ["--batches", "1"]),
+        ("chaos", ["--batches", "1", "--requests", "16",
+                   "--scenarios", "straggler"]),
+        ("serve", ["--qps", "2000", "--requests", "16"]),
+    ])
+    def test_multi_system_commands_skip_with_one_note(self, capsys, tmp_path,
+                                                      command, extra):
+        out = tmp_path / "out.json"
+        assert main([command, *ARGS, *extra, "--systems", "DSP,PyG,Quiver",
+                     "--dynamic-cache", "--out", str(out)]) == 0
+        notes = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("note:")]
+        assert notes == ["note: skipping systems that lack a setting of "
+                         "this run: PyG (--dynamic-cache); Quiver "
+                         "(--dynamic-cache)"]
+        assert "Quiver" not in out.read_text()
+
+    def test_no_system_left_is_one_line_error(self, capsys):
+        assert main(["compare", *ARGS, "--systems", "PyG,Quiver",
+                     "--num-nodes", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --systems:") and err.count("\n") == 1
+        assert "PyG (--num-nodes); Quiver (--num-nodes)" in err
+
+
 #: the commands whose flags build configs, fuzzed below
 FUZZ_COMMANDS = ("train", "compare", "serve", "chaos", "control")
 _INTS = st.integers(-3, 4)
